@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,24 +57,37 @@ func main() {
 		debug.SetGCPercent(*gogc)
 	}
 
+	figNames := []string{"2", "3", "4", "5", "6"}
+	ablationNames := []string{"sync", "lb", "var", "prio", "arch", "chaos", "elastic", "pipeline", "shard", "consist", "plan"}
 	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			want["fig"+f] = true
+	// addNames marks each name of a comma-separated flag value; a name
+	// outside valid is a usage error, so a typo never runs nothing and
+	// exits 0.
+	addNames := func(flagName, list, key string, valid []string) {
+		for _, n := range strings.Split(list, ",") {
+			if n = strings.TrimSpace(n); n == "" {
+				continue
+			}
+			if !slices.Contains(valid, n) {
+				fmt.Fprintf(os.Stderr, "cloudrepl-bench: unknown -%s name %q (valid: %s)\n", flagName, n, strings.Join(valid, ","))
+				os.Exit(2)
+			}
+			want[key+n] = true
 		}
 	}
-	for _, a := range strings.Split(*ablations, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			want["ab-"+a] = true
-		}
-	}
+	addNames("fig", *figs, "fig", figNames)
+	addNames("ablation", *ablations, "ab-", ablationNames)
 	if *rtt {
 		want["rtt"] = true
 	}
 	if *all {
-		for _, k := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "rtt", "ab-sync", "ab-lb", "ab-var", "ab-prio", "ab-arch", "ab-chaos", "ab-elastic", "ab-pipeline", "ab-shard", "ab-consist", "ab-plan", "kernel", "planner"} {
-			want[k] = true
+		for _, f := range figNames {
+			want["fig"+f] = true
 		}
+		for _, a := range ablationNames {
+			want["ab-"+a] = true
+		}
+		want["rtt"], want["kernel"], want["planner"] = true, true, true
 	}
 	if *benchKernel {
 		want["kernel"] = true

@@ -86,12 +86,6 @@ func Open(clu *cluster.Cluster, opts ...Option) *DB {
 			o(&cfg)
 		}
 	}
-	return openConfig(clu, cfg)
-}
-
-// openConfig is the single construction path shared by Open and the
-// deprecated OpenOptions shim.
-func openConfig(clu *cluster.Cluster, cfg config) *DB {
 	if cfg.pool.MaxActive == 0 {
 		cfg.pool = pool.Config{MaxActive: 64, MaxIdle: 64}
 	}
@@ -387,35 +381,6 @@ func (db *DB) SplitShard(p *sim.Proc) (*shard.SplitReport, error) {
 		return nil, errors.New("core: SplitShard requires a sharded handle (OpenSharded)")
 	}
 	return db.sc.Split(p)
-}
-
-// ScaleOut adds a replica at the given placement.
-//
-// Deprecated: use Scale(nil, 1, ScaleOpts{Spec: spec}).
-func (db *DB) ScaleOut(spec cluster.NodeSpec) error {
-	return db.Scale(nil, 1, ScaleOpts{Spec: spec})
-}
-
-// ScaleIn removes the most-lagged replica immediately.
-//
-// Deprecated: use Scale(nil, -1, ScaleOpts{}); from a simulation process
-// prefer a graceful Scale(p, -1, ...) which also drains in-flight reads.
-func (db *DB) ScaleIn() {
-	_ = db.Scale(nil, -1, ScaleOpts{})
-}
-
-// ScaleBack gracefully removes the most-lagged replica.
-//
-// Deprecated: use Scale(p, -1, ScaleOpts{Drain: drainTimeout}).
-func (db *DB) ScaleBack(p *sim.Proc, drainTimeout time.Duration) error {
-	return db.Scale(p, -1, ScaleOpts{Drain: drainTimeout})
-}
-
-// RemoveSlaveGraceful is a graceful scale-in of a caller-chosen replica.
-//
-// Deprecated: use Scale(p, -1, ScaleOpts{Victim: sl, Drain: drainTimeout}).
-func (db *DB) RemoveSlaveGraceful(p *sim.Proc, sl *repl.Slave, drainTimeout time.Duration) error {
-	return db.Scale(p, -1, ScaleOpts{Victim: sl, Drain: drainTimeout})
 }
 
 // removeGraceful quarantines sl, waits for its in-flight reads to drain

@@ -73,6 +73,13 @@ func TestExecAndQueryEndToEnd(t *testing.T) {
 	env.RunUntil(5 * time.Minute)
 	env.Stop()
 	env.Shutdown()
+	// Without WithTracer/WithMetrics the handle still owns a registry.
+	if db.Registry() == nil {
+		t.Fatal("handle has no registry")
+	}
+	if got := db.Metrics()["proxy.writes"]; got != 1 {
+		t.Fatalf("proxy.writes = %v, want 1", got)
+	}
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {
@@ -128,14 +135,17 @@ func TestStalenessReporting(t *testing.T) {
 func TestScaleOutAndIn(t *testing.T) {
 	env, db := newDB(t, 4, 1)
 	env.Go("app", func(p *sim.Proc) {
-		if err := db.ScaleOut(cluster.NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}}); err != nil {
+		if err := db.Scale(nil, 1, ScaleOpts{Spec: cluster.NodeSpec{Place: cloud.Placement{Region: cloud.USWest1, Zone: "b"}}}); err != nil {
 			t.Errorf("scale out: %v", err)
 			return
 		}
 		if got := len(db.Cluster().Slaves()); got != 2 {
 			t.Errorf("slaves after scale-out: %d", got)
 		}
-		db.ScaleIn()
+		if err := db.Scale(nil, -1, ScaleOpts{}); err != nil {
+			t.Errorf("scale in: %v", err)
+			return
+		}
 		if got := len(db.Cluster().Slaves()); got != 1 {
 			t.Errorf("slaves after scale-in: %d", got)
 		}
@@ -288,12 +298,12 @@ func TestScaleBackDrainsInflightReads(t *testing.T) {
 	var scaleErr error
 	env.Go("operator", func(p *sim.Proc) {
 		p.Sleep(30 * time.Second)
-		scaleErr = db.ScaleBack(p, 0)
+		scaleErr = db.Scale(p, -1, ScaleOpts{})
 	})
 
 	env.RunUntil(sim.Time(end))
 	if scaleErr != nil {
-		t.Fatalf("ScaleBack: %v", scaleErr)
+		t.Fatalf("graceful Scale(p, -1): %v", scaleErr)
 	}
 	if readErrs != 0 {
 		t.Fatalf("%d client read(s) failed across a graceful scale-in", readErrs)
@@ -330,7 +340,7 @@ func TestRemoveSlaveGracefulTimesOut(t *testing.T) {
 	var gotErr error
 	env.Go("operator", func(p *sim.Proc) {
 		p.Sleep(10 * time.Second)
-		gotErr = db.RemoveSlaveGraceful(p, sl, 10*time.Millisecond)
+		gotErr = db.Scale(p, -1, ScaleOpts{Victim: sl, Drain: 10 * time.Millisecond})
 	})
 	env.RunUntil(sim.Time(time.Minute))
 	if gotErr == nil {

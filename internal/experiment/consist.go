@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -137,25 +136,9 @@ func ConsistDeterminism(opts SweepOpts) error {
 	if opts.Short {
 		g.users = 150
 	}
-	marshal := func() ([]byte, error) {
-		arm, err := runConsistArm(opts, g, proxy.Session)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(arm)
-	}
-	a, err := marshal()
-	if err != nil {
-		return err
-	}
-	b, err := marshal()
-	if err != nil {
-		return err
-	}
-	if string(a) != string(b) {
-		return fmt.Errorf("consist determinism: two runs of seed %d differ (%d vs %d bytes)", opts.Seed, len(a), len(b))
-	}
-	return nil
+	return CheckDeterminism("A-CONSIST", func() (any, error) {
+		return runConsistArm(opts, g, proxy.Session)
+	})
 }
 
 // RenderConsistency formats the A-CONSIST ablation for the terminal.

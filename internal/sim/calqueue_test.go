@@ -226,31 +226,31 @@ func TestSleepSteadyStateAllocs(t *testing.T) {
 // TestWaitTimeoutSteadyStateAllocs guards the pooled waiter + timer path:
 // a signaled WaitTimeout must reuse the waiter and the cancelled timer
 // event once the pools are primed (the coroutine handshake itself is
-// allocation-free).
+// allocation-free). One long-lived process loops on WaitTimeout and each
+// measured cycle only broadcasts and runs until it parks again — no process
+// is spawned inside the measurement, so goroutine creation cannot leak in.
 func TestWaitTimeoutSteadyStateAllocs(t *testing.T) {
 	e := NewEnv(1)
+	defer e.Shutdown()
 	s := NewSignal(e)
-	// Closures hoisted so the measurement sees the kernel's allocations,
-	// not the test's own captures.
-	waitFn := func(p *Proc) { s.WaitTimeout(p, Time(time.Hour)) }
+	e.Go("waiter", func(p *Proc) {
+		for {
+			s.WaitTimeout(p, Time(time.Hour))
+		}
+	})
+	// Closure hoisted so the measurement sees the kernel's allocations, not
+	// the test's own captures.
 	bcast := func() { s.Broadcast() }
 	cycle := func() {
-		e.Go("waiter", waitFn)
 		e.After(Time(time.Millisecond), bcast)
-		e.Run()
+		e.RunFor(Time(time.Millisecond))
 	}
-	cycle() // prime pools
-	allocs := testing.AllocsPerRun(100, cycle)
-	// Go() itself allocates the Proc and goroutine stack; measure the
-	// remainder by comparing against a spawn that never waits.
-	noop := func(p *Proc) {}
-	tick := func() {}
-	base := testing.AllocsPerRun(100, func() {
-		e.Go("noop", noop)
-		e.After(Time(time.Millisecond), tick)
-		e.Run()
-	})
-	if allocs > base {
-		t.Fatalf("WaitTimeout cycle allocates %.1f objects vs %.1f spawn baseline; waiter/timer pooling regressed", allocs, base)
+	// Prime the pools past the first tombstone compactions: every cycle
+	// buries its cancelled timer until compaction recycles it.
+	for i := 0; i < 4*calCompactFloor; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("WaitTimeout/Broadcast cycle allocates %.1f objects; want 0 (waiter/timer pooling regressed)", allocs)
 	}
 }

@@ -190,15 +190,11 @@ func (e *Engine) execInsert(s *Session, st *InsertStmt) (*Result, error) {
 }
 
 func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
-	_, tbl, err := s.resolveTable(st.Table)
+	p, err := e.planWriteLocked(s, st.Table, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	stats := ExecStats{Class: ClassWrite}
-	cands, usedIdx := pickCandidates(tbl, st.Table.refName(), st.Where, e)
-	stats.UsedIndex = usedIdx
-	stats.RowsExamined = len(cands)
-	sc := &scope{eng: e, tables: []scopeTable{{strings.ToLower(st.Table.refName()), tbl, nil}}}
+	tbl := p.tables[0].tbl
 
 	// Pre-resolve SET columns.
 	var setPos []int
@@ -210,19 +206,11 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 		setPos = append(setPos, pos)
 	}
 
-	var targets []*Row
-	for _, r := range cands {
-		sc.tables[0].vals = r.vals
-		if st.Where != nil {
-			ok, err := sc.eval(st.Where)
-			if err != nil {
-				return nil, err
-			}
-			if ok.IsNull() || !ok.Bool() {
-				continue
-			}
-		}
-		targets = append(targets, r)
+	stats := ExecStats{Class: ClassWrite}
+	sc := &scope{eng: e}
+	targets, err := e.writeTargets(s, p, sc, &stats)
+	if err != nil {
+		return nil, err
 	}
 	type undoRec struct {
 		r      *Row
@@ -307,28 +295,15 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 }
 
 func (e *Engine) execDelete(s *Session, st *DeleteStmt) (*Result, error) {
-	_, tbl, err := s.resolveTable(st.Table)
+	p, err := e.planWriteLocked(s, st.Table, st.Where)
 	if err != nil {
 		return nil, err
 	}
+	tbl := p.tables[0].tbl
 	stats := ExecStats{Class: ClassWrite}
-	cands, usedIdx := pickCandidates(tbl, st.Table.refName(), st.Where, e)
-	stats.UsedIndex = usedIdx
-	stats.RowsExamined = len(cands)
-	sc := &scope{eng: e, tables: []scopeTable{{strings.ToLower(st.Table.refName()), tbl, nil}}}
-	var targets []*Row
-	for _, r := range cands {
-		sc.tables[0].vals = r.vals
-		if st.Where != nil {
-			ok, err := sc.eval(st.Where)
-			if err != nil {
-				return nil, err
-			}
-			if ok.IsNull() || !ok.Bool() {
-				continue
-			}
-		}
-		targets = append(targets, r)
+	targets, err := e.writeTargets(s, p, &scope{eng: e}, &stats)
+	if err != nil {
+		return nil, err
 	}
 	for _, r := range targets {
 		// MVCC delete: out of the heap, primary key and indexes (latest
@@ -378,57 +353,28 @@ func conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// constEval evaluates an expression containing no column references.
-func constEval(e Expr, eng *Engine) (Value, bool) {
-	hasCol := false
-	walkExpr(e, func(x Expr) {
-		if _, ok := x.(*ColRef); ok {
-			hasCol = true
-		}
+// writeTargets runs a write plan's scan and filter operators and returns
+// every row the WHERE selects, before any of them is modified. Writes act on
+// the latest row versions, never through a snapshot, so the scan yields
+// *Rows. sc gets the table's scope slot, which UPDATE reuses for SET.
+func (e *Engine) writeTargets(s *Session, p *Plan, sc *scope, stats *ExecStats) ([]*Row, error) {
+	pt := p.tables[0]
+	sc.tables = []scopeTable{{pt.lower, pt.tbl, nil}}
+	ctx := &execCtx{e: e, s: s, sc: sc, stats: stats}
+	// A single-table plan is the driving access, optionally under one
+	// residual filter.
+	scan := &scanIter{ctx: ctx, n: p.root}
+	var it rowIter = scan
+	if p.root.kind == opFilter {
+		scan.n = p.root.input
+		it = &filterIter{ctx: ctx, n: p.root, input: scan}
+	}
+	var targets []*Row
+	err := forEach(it, func() error {
+		targets = append(targets, scan.row())
+		return nil
 	})
-	if hasCol {
-		return Null, false
-	}
-	sc := &scope{eng: eng}
-	v, err := sc.eval(e)
-	if err != nil {
-		return Null, false
-	}
-	return v, true
-}
-
-// pickCandidates selects the scan set for a table given a WHERE clause: an
-// index-equality bucket when some conjunct is `col = const` over an indexed
-// column, otherwise the whole heap.
-func pickCandidates(tbl *Table, refName string, where Expr, eng *Engine) ([]*Row, bool) {
-	ref := strings.ToLower(refName)
-	for _, c := range conjuncts(where) {
-		b, ok := c.(*Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		for _, try := range [2][2]Expr{{b.L, b.R}, {b.R, b.L}} {
-			col, ok := try[0].(*ColRef)
-			if !ok {
-				continue
-			}
-			if col.Table != "" && strings.ToLower(col.Table) != ref {
-				continue
-			}
-			pos, ok := tbl.ColPos(col.Name)
-			if !ok {
-				continue
-			}
-			v, ok := constEval(try[1], eng)
-			if !ok {
-				continue
-			}
-			if rows, usable := tbl.lookupEq(pos, v); usable {
-				return rows, true
-			}
-		}
-	}
-	return tbl.Rows(), false
+	return targets, err
 }
 
 // jrow is one joined row: per scope table, its values (nil = LEFT JOIN miss).
@@ -443,8 +389,8 @@ func (e *Engine) execSelect(s *Session, st *SelectStmt, args []Value) (*Result, 
 }
 
 // execPlan runs a built plan: the iterator pipeline (operators.go) streams
-// joined rows into chunked jrow backing, and the shared projection /
-// aggregation / order / limit tail finishes the result. acts, when non-nil,
+// joined rows straight into the projection / aggregation / order tail the
+// plan chose, and the limit finishes the result. acts, when non-nil,
 // receives per-node output counts for EXPLAIN ANALYZE.
 func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Result, error) {
 	if err := p.checkArgs(args); err != nil {
@@ -487,44 +433,15 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Res
 	ctx := &execCtx{e: e, s: s, sc: sc, readV: readV, mvcc: mvccScan, stats: &stats, acts: acts}
 	it := buildIter(ctx, p.root)
 
-	// Materialize surviving joined rows out of chunked backing arrays — one
-	// allocation per 64 rows rather than one per row; only rows that pass
-	// every pushed filter are ever copied.
-	nt := len(sc.tables)
-	var rows []jrow
-	var chunk jrow
-	for {
-		ok, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if len(chunk) < nt {
-			chunk = make(jrow, 64*nt)
-		}
-		row := chunk[0:nt:nt]
-		chunk = chunk[nt:]
-		for i := range sc.tables {
-			row[i] = sc.tables[i].vals
-		}
-		rows = append(rows, row)
-	}
-
-	aggregated := len(st.GroupBy) > 0
-	for _, se := range st.Exprs {
-		if !se.Star && containsAggregate(se.Expr) {
-			aggregated = true
-		}
-	}
-
 	var set *ResultSet
 	var err error
-	if aggregated {
-		set, err = e.aggSelect(sc, st, rows)
-	} else {
-		set, err = e.plainSelect(sc, st, rows)
+	switch {
+	case p.tail[len(p.tail)-1].kind == opHashAgg: // innermost tail node
+		set, err = e.aggSelect(sc, st, it)
+	case p.topN >= 0:
+		set, err = e.topNSelect(sc, st, it, p.topN)
+	default:
+		set, err = e.plainSelect(sc, st, it)
 	}
 	if err != nil {
 		return nil, err
@@ -552,6 +469,19 @@ func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Res
 	setTailActs(opLimit)
 	stats.RowsReturned = len(set.Rows)
 	return &Result{Set: set, Stats: stats}, nil
+}
+
+// forEach pulls it to exhaustion, calling fn while each row is in scope.
+func forEach(it rowIter, fn func() error) error {
+	for {
+		ok, err := it.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(); err != nil {
+			return err
+		}
+	}
 }
 
 func setScope(sc *scope, row jrow) {
@@ -597,38 +527,41 @@ type sortableRow struct {
 	keys []Value
 }
 
-func (e *Engine) plainSelect(sc *scope, st *SelectStmt, rows []jrow) (*ResultSet, error) {
+func (e *Engine) plainSelect(sc *scope, st *SelectStmt, it rowIter) (*ResultSet, error) {
 	cols := projectionColumns(sc, st)
 	// One alias map per query, values overwritten per row (orderKeys reads
 	// them before the next row) — and none at all unless ORDER BY could
 	// reference an alias. The per-row map was the engine's top allocator.
 	aliases := aliasMapFor(st)
-	width, nk := len(cols), len(st.OrderBy)
-	if top, ok := topNBound(st, sc, aliases); ok && top < len(rows) {
-		return e.topNSelect(sc, st, rows, cols, top)
-	}
-	out := make([]sortableRow, 0, len(rows))
-	// All rows' projections and sort keys live in one backing array sized
-	// up front: one allocation per query instead of one per row (full scans
-	// with ORDER BY were the engine's top allocator). The full-cap reslices
-	// keep each row's region — and its proj/keys halves — disjoint; if a
-	// projection ever outgrows its stride, append spills it to a fresh
-	// array and the reserved region simply goes unused.
-	stride := width + nk
-	backing := make([]Value, len(rows)*stride)
-	for i, row := range rows {
-		setScope(sc, row)
-		buf := backing[i*stride : i*stride : (i+1)*stride]
+	// Each row's projection and sort keys share one region of a chunked
+	// backing array: one allocation per 64 rows rather than one per row
+	// (full scans with ORDER BY were the engine's top allocator). The
+	// full-cap reslices keep each row's region — and its proj/keys halves —
+	// disjoint; if a projection ever outgrows its stride, append spills it
+	// to a fresh array and the reserved region simply goes unused.
+	stride := len(cols) + len(st.OrderBy)
+	var out []sortableRow
+	var chunk []Value
+	err := forEach(it, func() error {
+		if len(chunk) < stride {
+			chunk = make([]Value, 64*stride)
+		}
+		buf := chunk[0:0:stride]
+		chunk = chunk[stride:]
 		buf, err := appendProjection(buf, sc, st, aliases)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		projLen := len(buf)
 		buf, err = appendOrderKeys(buf, sc, st, aliases, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, sortableRow{buf[:projLen:projLen], buf[projLen:]})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortRows(st, out)
 	set := &ResultSet{Columns: cols, Rows: make([][]Value, len(out))}
@@ -636,33 +569,6 @@ func (e *Engine) plainSelect(sc *scope, st *SelectStmt, rows []jrow) (*ResultSet
 		set.Rows[i] = r.proj
 	}
 	return set, nil
-}
-
-// topNBound reports how many leading sorted rows the query can ever return
-// (LIMIT + OFFSET) when bounded selection is equivalent to sorting
-// everything: ORDER BY present, constant LIMIT/OFFSET (parameters resolve
-// through the scope's args), no DISTINCT (which dedups before the limit),
-// and no SELECT alias in play (aliases force projection-first evaluation).
-func topNBound(st *SelectStmt, sc *scope, aliases map[string]Value) (int, bool) {
-	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil || aliases != nil {
-		return 0, false
-	}
-	lv, ok := limitConst(sc, st.Limit)
-	if !ok {
-		return 0, false
-	}
-	n := int(lv.Int())
-	if st.Offset != nil {
-		ov, ok := limitConst(sc, st.Offset)
-		if !ok {
-			return 0, false
-		}
-		n += int(ov.Int())
-	}
-	if n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // topNSelect keeps only the top rows of the stable sort order while
@@ -673,8 +579,8 @@ func topNBound(st *SelectStmt, sc *scope, aliases map[string]Value) (int, bool) 
 // place them). The result is byte-identical to sort-everything-then-limit
 // at a fraction of the cost: ORDER BY ... LIMIT over a full scan is the
 // workload's hottest read shape.
-func (e *Engine) topNSelect(sc *scope, st *SelectStmt, rows []jrow, cols []string, top int) (*ResultSet, error) {
-	width, nk := len(cols), len(st.OrderBy)
+func (e *Engine) topNSelect(sc *scope, st *SelectStmt, it rowIter, top int) (*ResultSet, error) {
+	cols := projectionColumns(sc, st)
 	lessKeys := func(a, b []Value) bool {
 		for k := range st.OrderBy {
 			c := Compare(a[k], b[k])
@@ -688,24 +594,24 @@ func (e *Engine) topNSelect(sc *scope, st *SelectStmt, rows []jrow, cols []strin
 		}
 		return false
 	}
-	best := make([]sortableRow, 0, top)
-	scratch := make([]Value, 0, nk)
+	// The bound comes from the query text and may dwarf the input; the
+	// buffer grows on demand past a small start.
+	best := make([]sortableRow, 0, min(top, 64))
+	scratch := make([]Value, 0, len(st.OrderBy))
 	// Accepted rows draw their backing from chunks: a scan that arrives in
 	// worst-case order (every row beats the current cut) would otherwise
 	// allocate per row. Evicted rows' regions are simply abandoned — memory
 	// stays bounded by the scan size, exactly like the sort-everything path.
-	stride := width + nk
+	stride := len(cols) + len(st.OrderBy)
 	var chunk []Value
-	for _, row := range rows {
-		setScope(sc, row)
-		scratch = scratch[:0]
+	err := forEach(it, func() error {
 		var err error
-		scratch, err = appendOrderKeys(scratch, sc, st, nil, nil, nil)
+		scratch, err = appendOrderKeys(scratch[:0], sc, st, nil, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(best) == top && (top == 0 || !lessKeys(scratch, best[len(best)-1].keys)) {
-			continue
+			return nil
 		}
 		if len(chunk) < stride {
 			chunk = make([]Value, 64*stride)
@@ -714,7 +620,7 @@ func (e *Engine) topNSelect(sc *scope, st *SelectStmt, rows []jrow, cols []strin
 		chunk = chunk[stride:]
 		buf, err = appendProjection(buf, sc, st, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		projLen := len(buf)
 		buf = append(buf, scratch...)
@@ -726,6 +632,10 @@ func (e *Engine) topNSelect(sc *scope, st *SelectStmt, rows []jrow, cols []strin
 		best = append(best, sortableRow{})
 		copy(best[pos+1:], best[pos:])
 		best[pos] = nr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	set := &ResultSet{Columns: cols, Rows: make([][]Value, len(best))}
 	for i, r := range best {
@@ -749,40 +659,55 @@ func aliasMapFor(st *SelectStmt) map[string]Value {
 	return nil
 }
 
-// aggSelect groups rows and evaluates aggregate projections per group.
-func (e *Engine) aggSelect(sc *scope, st *SelectStmt, rows []jrow) (*ResultSet, error) {
+// aggSelect groups the streamed rows and evaluates aggregate projections
+// per group. It is the one tail that materializes joined rows, because an
+// aggregate folds its whole group.
+func (e *Engine) aggSelect(sc *scope, st *SelectStmt, it rowIter) (*ResultSet, error) {
 	type group struct {
-		key  string
 		rows []jrow
 	}
 	var groups []*group
 	index := map[string]*group{}
 	if len(st.GroupBy) == 0 {
-		g := &group{key: ""}
-		g.rows = rows
+		// A global aggregate has one group, present even over no rows.
+		g := &group{}
+		index[""] = g
 		groups = append(groups, g)
-	} else {
-		var kb []byte // reused per row; a string materializes only on a new group
-		for _, row := range rows {
-			setScope(sc, row)
-			kb = kb[:0]
-			for _, ge := range st.GroupBy {
-				v, err := sc.eval(ge)
-				if err != nil {
-					return nil, err
-				}
-				kb = v.appendKey(kb)
-				kb = append(kb, 0x1f)
+	}
+	// Group members are copied out of the scope into chunked jrow backing —
+	// one allocation per 64 rows rather than one per row.
+	nt := len(sc.tables)
+	var chunk jrow
+	var kb []byte // reused per row; a string materializes only on a new group
+	err := forEach(it, func() error {
+		kb = kb[:0]
+		for _, ge := range st.GroupBy {
+			v, err := sc.eval(ge)
+			if err != nil {
+				return err
 			}
-			g, ok := index[string(kb)]
-			if !ok {
-				k := string(kb)
-				g = &group{key: k}
-				index[k] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, row)
+			kb = v.appendKey(kb)
+			kb = append(kb, 0x1f)
 		}
+		g, ok := index[string(kb)]
+		if !ok {
+			g = &group{}
+			index[string(kb)] = g
+			groups = append(groups, g)
+		}
+		if len(chunk) < nt {
+			chunk = make(jrow, 64*nt)
+		}
+		row := chunk[0:nt:nt]
+		chunk = chunk[nt:]
+		for i := range sc.tables {
+			row[i] = sc.tables[i].vals
+		}
+		g.rows = append(g.rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	cols := projectionColumns(sc, st)

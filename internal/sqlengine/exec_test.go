@@ -98,6 +98,23 @@ func TestOrderByLimitOffset(t *testing.T) {
 			t.Fatalf("rows: %v, want ids %v", set.Rows, want)
 		}
 	}
+	// A parameterized LIMIT/OFFSET is not a plan-time top-N bound; it takes
+	// the full sort and must return the same rows.
+	params, err := s.Query("SELECT id FROM events ORDER BY score DESC LIMIT ? OFFSET ?", NewInt(3), NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonRows(params, true), canonRows(set, true); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("parameterized rows %v, literal rows %v", params.Rows, set.Rows)
+	}
+	// A bound far beyond the input must not size the top-N buffer.
+	huge, err := s.Query("SELECT id FROM events ORDER BY score DESC LIMIT 1000000000000 OFFSET 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(huge.Rows) != 19 || huge.Rows[0][0].Int() != 19 {
+		t.Fatalf("huge-limit rows: %v", huge.Rows)
+	}
 }
 
 func TestOrderByAlias(t *testing.T) {
@@ -206,6 +223,31 @@ func TestUpdateWithExpressionAndStats(t *testing.T) {
 	set, _ := s.Query("SELECT karma FROM users WHERE id = 2")
 	if set.Rows[0][0].Int() != 25 {
 		t.Fatalf("karma = %v", set.Rows[0][0])
+	}
+}
+
+// TestProductionWriteAccess pins the access of the two write shapes the
+// simulator issues — Cloudstone's update-event by primary key and the split
+// cleanup's IN-list delete — under both planners: the rows examined are what
+// the server's virtual CPU charges on the master and on every replica.
+func TestProductionWriteAccess(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		s := newTestDB(t)
+		s.eng.NaivePlan = naive
+		res, err := s.Exec("UPDATE events SET title = ? WHERE id = ?", NewString("renamed"), NewInt(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RowsExamined != 1 || !res.Stats.UsedIndex || res.Stats.RowsAffected != 1 {
+			t.Errorf("naive=%v update-event stats %+v, want 1 row examined via index", naive, res.Stats)
+		}
+		res, err = s.Exec("DELETE FROM users WHERE id IN (2, 5, 8)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RowsExamined != 10 || res.Stats.UsedIndex || res.Stats.RowsAffected != 3 {
+			t.Errorf("naive=%v split-cleanup stats %+v, want a full scan of 10", naive, res.Stats)
+		}
 	}
 }
 

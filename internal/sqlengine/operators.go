@@ -4,8 +4,8 @@ package sqlengine
 // its scope slot (sc.tables[slot].vals) and pulls from its outer input; the
 // scope itself is the current row, so expression evaluation needs no
 // per-operator row buffers. A true next() leaves every slot at or below the
-// operator populated; the executor (exec.go) materializes surviving rows
-// into jrows for the projection/aggregation tail.
+// operator populated; the executor's tail (exec.go) reads each row from the
+// scope as it streams by.
 //
 // Plans never fix visibility: at execution time a latest-version reader uses
 // heaps and indexes directly, while a snapshot reader (behind the latest
@@ -135,6 +135,11 @@ func (it *scanIter) next() (bool, error) {
 		}
 	}
 }
+
+// row returns the latest-version row the scan last produced. Only a
+// latest-version scan has one; writes, which never read through a snapshot,
+// use it to find their target rows.
+func (it *scanIter) row() *Row { return it.rows[it.i-1] }
 
 // filterIter applies residual conjuncts over fully joined rows.
 type filterIter struct {

@@ -34,12 +34,8 @@ type Plan struct {
 
 	// topN is the bound for the in-flight bounded sort (LIMIT+OFFSET with
 	// constant literals, ORDER BY, no DISTINCT, no usable alias), -1 when
-	// the plain sort path applies.
+	// the plain sort path applies. It is the executor's only top-N decision.
 	topN int
-
-	// usedIndex mirrors the legacy ExecStats.UsedIndex contract: true when
-	// the driving access is an index lookup.
-	usedIndex bool
 
 	totalCost float64 // summed estimated rows examined across the pipeline
 }

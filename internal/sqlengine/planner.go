@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// The planner builds a Plan (plan.go) for a SELECT in one of two modes.
+// The planner builds a Plan (plan.go) for a SELECT, and for the target rows
+// of an UPDATE or DELETE (planWriteLocked), in one of two modes.
 //
 // The cost-based mode pools WHERE and (inner) ON conjuncts, pushes each down
 // to the earliest operator where all referenced tables are bound, picks
@@ -140,25 +141,9 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 		return p, nil
 	}
 
-	// Resolve scope tables in syntax order — jrow slots and column
-	// resolution never depend on join order.
-	refs := make([]TableRef, 0, 1+len(st.Joins))
-	refs = append(refs, *st.From)
-	for _, j := range st.Joins {
-		refs = append(refs, j.Table)
+	if err := b.resolveTables(); err != nil {
+		return nil, err
 	}
-	for _, r := range refs {
-		_, tbl, err := s.resolveTable(r)
-		if err != nil {
-			return nil, err
-		}
-		p.tables = append(p.tables, planTable{
-			display: r.refName(),
-			lower:   strings.ToLower(r.refName()),
-			tbl:     tbl,
-		})
-	}
-
 	if !naive {
 		// Cost mode plans against fresh statistics; refresh before costing
 		// so the epoch recorded below covers any re-ANALYZE done here.
@@ -166,16 +151,7 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 			e.refreshStatsLocked(pt.tbl)
 		}
 	}
-
-	var err error
-	if naive {
-		err = b.buildNaiveAccess()
-	} else {
-		err = b.buildCostAccess()
-	}
-	if err != nil {
-		return nil, err
-	}
+	b.buildAccess()
 	b.buildTail()
 	p.totalCost = 0
 	for _, n := range p.nodes {
@@ -185,6 +161,62 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 	}
 	p.epoch = e.statsEpoch
 	return p, nil
+}
+
+// planWriteLocked plans the target rows of an UPDATE or DELETE with the same
+// single-table access a SELECT over ref would get: the driving access plus
+// the WHERE as filters, chosen by cost or, under NaivePlan, by the naive
+// rule. A write plan has no tail and is built per execution, never cached —
+// bound write text carries literals, so caching would grow without bound.
+// It also never refreshes statistics: a re-ANALYZE advances the stats epoch,
+// and letting writes do that would re-plan cached reads at different moments.
+func (e *Engine) planWriteLocked(s *Session, ref TableRef, where Expr) (*Plan, error) {
+	st := &SelectStmt{From: &ref, Where: where}
+	b := &planBuilder{e: e, s: s, st: st, p: &Plan{naive: e.NaivePlan, stmt: st, topN: -1}}
+	if err := b.resolveTables(); err != nil {
+		return nil, err
+	}
+	b.buildAccess()
+	return b.p, nil
+}
+
+// resolveTables binds the scope tables in syntax order — jrow slots and
+// column resolution never depend on join order.
+func (b *planBuilder) resolveTables() error {
+	st := b.st
+	refs := make([]TableRef, 0, 1+len(st.Joins))
+	refs = append(refs, *st.From)
+	for _, j := range st.Joins {
+		refs = append(refs, j.Table)
+	}
+	for _, r := range refs {
+		_, tbl, err := b.s.resolveTable(r)
+		if err != nil {
+			return err
+		}
+		b.p.tables = append(b.p.tables, planTable{
+			display: r.refName(),
+			lower:   strings.ToLower(r.refName()),
+			tbl:     tbl,
+		})
+	}
+	return nil
+}
+
+// buildAccess builds the relational chain (driving access, joins, residual
+// filter) in the plan's mode.
+func (b *planBuilder) buildAccess() {
+	if b.p.naive {
+		b.buildNaiveAccess()
+		return
+	}
+	for _, j := range b.st.Joins {
+		if j.Left {
+			b.buildCostSyntaxOrder()
+			return
+		}
+	}
+	b.buildCostReorder()
 }
 
 // ---------------------------------------------------------------------------
@@ -395,10 +427,10 @@ func (b *planBuilder) classOfExpr(e Expr) kindClass {
 // ---------------------------------------------------------------------------
 // Naive mode — parity with the pre-planner executor
 
-// buildNaiveAccess mirrors the legacy execSelect shape: pickCandidates on
+// buildNaiveAccess builds the pre-planner executor's shape: naiveDriving on
 // the driving table, syntax-order joins with per-join index lookups, whole
 // WHERE evaluated after all joins.
-func (b *planBuilder) buildNaiveAccess() error {
+func (b *planBuilder) buildNaiveAccess() {
 	st, p := b.st, b.p
 
 	drive := b.naiveDriving()
@@ -449,14 +481,12 @@ func (b *planBuilder) buildNaiveAccess() error {
 		f.estRows = outEst * sel
 		f.detail = strings.TrimPrefix(renderFilters(f.filters), " filter ")
 		chain = f
-		outEst = f.estRows
 	}
 	p.root = chain
-	return nil
 }
 
-// naiveDriving reproduces pickCandidates as a plan node: the first WHERE
-// conjunct that is `col = const` over an indexed driving-table column wins.
+// naiveDriving is the pre-planner access rule: the first WHERE conjunct that
+// is `col = const` over an indexed driving-table column wins, else a scan.
 func (b *planBuilder) naiveDriving() *planNode {
 	st, p := b.st, b.p
 	tbl := p.tables[0].tbl
@@ -488,7 +518,6 @@ func (b *planBuilder) naiveDriving() *planNode {
 				n.estCost = eqBucketEst(tbl, pos, unique)
 				n.estRows = n.estCost
 				n.detail = accessDetail(p.tables[0].display, n)
-				p.usedIndex = true
 				return n
 			}
 		}
@@ -539,16 +568,6 @@ type pooledConjunct struct {
 	mask uint64
 	ok   bool // resolvable (eligible for pushdown)
 	used bool // attached to some node already
-}
-
-// buildCostAccess builds the cost-based access chain.
-func (b *planBuilder) buildCostAccess() error {
-	for _, j := range b.st.Joins {
-		if j.Left {
-			return b.buildCostSyntaxOrder()
-		}
-	}
-	return b.buildCostReorder()
 }
 
 // pool collects conjuncts with their reference masks.
@@ -740,7 +759,7 @@ func eqColOf(cands []eqCandidate, pc *pooledConjunct) int {
 
 // buildCostReorder is the inner-join-only path: pooled predicates, greedy
 // join order, per-join algorithm choice.
-func (b *planBuilder) buildCostReorder() error {
+func (b *planBuilder) buildCostReorder() {
 	st, p := b.st, b.p
 	exprs := conjuncts(st.Where)
 	for _, j := range st.Joins {
@@ -791,7 +810,6 @@ func (b *planBuilder) buildCostReorder() error {
 		n.estRows = best.outRows
 		if chain == nil {
 			n.detail = accessDetail(pt.display, n)
-			p.usedIndex = n.kind == opIndexScan
 		} else {
 			n.detail = joinDetail(pt.display, n)
 		}
@@ -815,17 +833,15 @@ func (b *planBuilder) buildCostReorder() error {
 		f.estRows = outEst * defaultSel
 		f.detail = strings.TrimPrefix(renderFilters(residual), " filter ")
 		chain = f
-		outEst = f.estRows
 	}
 	p.root = chain
-	return nil
 }
 
 // buildCostSyntaxOrder handles queries with LEFT joins: syntax order, ON
 // conjuncts at their join, driving-only WHERE conjuncts pushed to the scan,
 // everything else in the post-join filter. Join algorithms are still chosen
 // by cost.
-func (b *planBuilder) buildCostSyntaxOrder() error {
+func (b *planBuilder) buildCostSyntaxOrder() {
 	st, p := b.st, b.p
 	wherePool := b.pool(conjuncts(st.Where))
 
@@ -838,7 +854,6 @@ func (b *planBuilder) buildCostSyntaxOrder() error {
 	dn.estCost = drive.cost
 	dn.estRows = drive.outRows
 	dn.detail = accessDetail(p.tables[0].display, dn)
-	p.usedIndex = dn.kind == opIndexScan
 
 	chain := dn
 	outEst := dn.estRows
@@ -890,10 +905,8 @@ func (b *planBuilder) buildCostSyntaxOrder() error {
 		f.estRows = outEst * sel
 		f.detail = strings.TrimPrefix(renderFilters(residual), " filter ")
 		chain = f
-		outEst = f.estRows
 	}
 	p.root = chain
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,8 +1013,10 @@ func (b *planBuilder) buildTail() {
 	}
 }
 
-// staticTopNBound mirrors topNBound with plan-time (literal-only) constants:
-// ORDER BY with literal LIMIT/OFFSET, no DISTINCT, no SELECT alias in play.
+// staticTopNBound decides the bounded sort: ORDER BY with literal
+// LIMIT/OFFSET, no DISTINCT (which dedups before the limit) and no SELECT
+// alias in play (aliases force projection-first evaluation). A parameterized
+// LIMIT takes the full sort; the results are the same.
 func staticTopNBound(st *SelectStmt) (int, bool) {
 	if len(st.OrderBy) == 0 || st.Distinct || st.Limit == nil || aliasMapFor(st) != nil {
 		return 0, false

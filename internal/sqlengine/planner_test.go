@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,81 @@ func TestPlannerNaiveDifferential(t *testing.T) {
 				t.Errorf("%s: row %d differs\ncost:  %q\nnaive: %q", q, i, c[i], n[i])
 				break
 			}
+		}
+	}
+}
+
+// writeDifferentialCases are UPDATE/DELETE scripts for the cost-vs-naive
+// write differential.
+var writeDifferentialCases = []struct {
+	name  string
+	stmts []string
+}{
+	{"pk equality", []string{"UPDATE users SET karma = karma + 1 WHERE id = 3", "DELETE FROM users WHERE id = 7"}},
+	{"secondary equality", []string{"UPDATE events SET score = 0 WHERE creator_id = 4", "DELETE FROM events WHERE creator_id = 5"}},
+	{"two indexed equalities", []string{"UPDATE events SET title = 'x' WHERE creator_id = 4 AND id = 3",
+		"DELETE FROM events WHERE creator_id = 5 AND id = 14"}},
+	{"range", []string{"UPDATE users SET name = 'hi' WHERE karma >= 70", "DELETE FROM events WHERE score > 7"}},
+	{"in list", []string{"UPDATE events SET score = score * 2 WHERE id IN (1, 5, 9)", "DELETE FROM users WHERE id IN (2, 4, 99)"}},
+	{"no where", []string{"UPDATE users SET karma = 0", "DELETE FROM events"}},
+	{"unknown column", []string{"UPDATE users SET karma = 1 WHERE nosuch = 2", "DELETE FROM events WHERE id = 3 AND nosuch = 2"}},
+	{"null comparisons", []string{"UPDATE users SET karma = NULL WHERE id IN (2, 3)",
+		"UPDATE users SET name = 'eq' WHERE karma = NULL", "UPDATE users SET name = 'ne' WHERE karma != 20",
+		"DELETE FROM users WHERE karma IS NULL"}},
+	{"rolled back transaction", []string{"BEGIN", "UPDATE events SET score = 99 WHERE creator_id = 4",
+		"DELETE FROM users WHERE id = 4", "ROLLBACK"}},
+}
+
+// TestPlannerWriteDifferential runs each write script under the cost-based
+// and the forced-naive planner: every statement's RowsAffected (or error)
+// and the final row images must be identical.
+func TestPlannerWriteDifferential(t *testing.T) {
+	run := func(naive bool, stmts []string) string {
+		s := newTestDB(t)
+		s.eng.NaivePlan = naive
+		var out []string
+		for _, q := range stmts {
+			res, err := s.Exec(q)
+			if err != nil {
+				out = append(out, q+": "+err.Error())
+				continue
+			}
+			out = append(out, q+": affected="+strconv.Itoa(res.Stats.RowsAffected))
+		}
+		for _, tbl := range []string{"users", "events"} {
+			set, err := s.Query("SELECT * FROM " + tbl + " ORDER BY id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, canonRows(set, true)...)
+		}
+		return strings.Join(out, "\n")
+	}
+	for _, tc := range writeDifferentialCases {
+		if c, n := run(false, tc.stmts), run(true, tc.stmts); c != n {
+			t.Errorf("%s: cost and naive writes differ\ncost:\n%s\nnaive:\n%s", tc.name, c, n)
+		}
+	}
+
+	// With two indexed equalities the cost planner takes the unique index;
+	// the naive rule takes the first conjunct's index.
+	q := "UPDATE events SET title = 'x' WHERE creator_id = 4 AND id = 3"
+	for _, tc := range []struct {
+		naive    bool
+		access   string
+		examined int
+	}{{false, "index_scan events via PRIMARY", 1}, {true, "index_scan events via idx_creator", 2}} {
+		s := newTestDB(t)
+		s.eng.NaivePlan = tc.naive
+		if got := explainText(t, s, "EXPLAIN "+q); !strings.HasPrefix(got, tc.access) {
+			t.Errorf("naive=%v: EXPLAIN %s\n%s\nwant access %q", tc.naive, q, got, tc.access)
+		}
+		res, err := s.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RowsExamined != tc.examined || res.Stats.RowsAffected != 1 {
+			t.Errorf("naive=%v: stats %+v, want %d examined, 1 affected", tc.naive, res.Stats, tc.examined)
 		}
 	}
 }
