@@ -1,14 +1,16 @@
 // Command cloudrepl-bench regenerates every table and figure of the
-// paper's evaluation on the simulated cloud:
+// paper's evaluation on the simulated cloud, the ablations beside them and
+// the kernel and planner speed benches. Each of these is one row of the
+// section registry, experiment.Sections: a row's names are what -fig and
+// -ablation accept (the flag help lists them), -all runs every row in
+// registry order, and -determinism runs every row's determinism arm.
 //
 //	cloudrepl-bench -fig 2,5          # 50/50 throughput + delay panels
 //	cloudrepl-bench -fig 3,6 -short   # 80/20 panels with the quick protocol
-//	cloudrepl-bench -fig 4            # clock synchronization (and T-NTP)
+//	cloudrepl-bench -fig 4 -csv out/  # clock synchronization (and T-NTP), per-second CSV
 //	cloudrepl-bench -rtt              # half-RTT table (T-RTT)
 //	cloudrepl-bench -ablation sync,lb,var
-//	cloudrepl-bench -ablation elastic    # SLO-driven autoscaling (A-ELASTIC)
-//	cloudrepl-bench -ablation shard      # cell-sharded scale-out (A-SHARD)
-//	cloudrepl-bench -ablation pipeline   # replication data path (A-PIPELINE)
+//	cloudrepl-bench -determinism -short  # every determinism arm twice, byte-compared
 //	cloudrepl-bench -trace out.json      # fully-traced pipeline run (cloudrepl-trace summarizes)
 //	cloudrepl-bench -all -csv out/       # everything, with CSVs for plotting
 //	cloudrepl-bench -all -json out/      # machine-readable BENCH_*.json files
@@ -19,12 +21,14 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"time"
 
@@ -32,365 +36,177 @@ import (
 	"cloudrepl/internal/obs"
 )
 
+// gcPercent is the bench process's GC target. Simulation runs allocate in
+// bursts and retain little, so a larger heap-growth target trades memory
+// for wall-clock without touching virtual-time results.
+const gcPercent = 300
+
 func main() {
-	figs := flag.String("fig", "", "comma-separated figures to regenerate (2,3,4,5,6)")
-	rtt := flag.Bool("rtt", false, "measure the half-RTT table (T-RTT)")
-	ablations := flag.String("ablation", "", "comma-separated ablations (sync,lb,var,prio,arch,chaos,elastic,pipeline,shard,consist,plan)")
-	determinism := flag.Bool("determinism", false, "run the A-PIPELINE determinism sanitizer: the same seed twice, failing on any byte difference in the result JSON (with -short: corner grid + quick protocol)")
-	determinismInject := flag.Bool("determinism-inject", false, "deliberately salt the determinism check with global math/rand entropy; the check must then fail (self-test of the sanitizer)")
-	all := flag.Bool("all", false, "regenerate every figure, table and ablation")
-	short := flag.Bool("short", false, "use the 2/5/1-minute quick protocol instead of 10/20/5")
-	seed := flag.Int64("seed", 1, "base random seed")
-	par := flag.Int("par", 0, "parallel runs (0 = GOMAXPROCS)")
-	tracePath := flag.String("trace", "", "run one fully-traced pipeline point and write its Chrome trace-event JSON here (view in chrome://tracing or summarize with cloudrepl-trace)")
-	csvDir := flag.String("csv", "", "directory to write per-figure CSV files into")
-	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_*.json files into")
-	benchKernel := flag.Bool("bench-kernel", false, "measure raw sim-kernel speed (events/sec, ns/event, allocs/event) and emit BENCH_kernel.json; also runs as part of -all")
-	kernelBaseline := flag.String("kernel-baseline", "", "checked-in kernel baseline JSON to gate against: fail when micro ns/event regresses >20% (update with: cp <jsondir>/BENCH_kernel.json bench/kernel_baseline.json)")
-	benchPlan := flag.Bool("bench-plan", false, "measure executor speed by query shape (point read, index scan, hash join, grouped aggregate) and emit BENCH_planner.json; also runs as part of -all")
-	planBaseline := flag.String("plan-baseline", "", "checked-in planner baseline JSON to gate against: fail when any shape's rate regresses >20% (update with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json)")
-	quiet := flag.Bool("q", false, "suppress per-run progress lines")
-	gogc := flag.Int("gogc", 300, "GC target percentage for the bench process (simulation runs allocate in bursts and retain little, so a larger heap-growth target trades memory for wall-clock; 0 leaves the runtime default)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
+// run is the whole command; it returns the exit status, 2 for a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cloudrepl-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figs := fs.String("fig", "", "comma-separated figures to regenerate ("+strings.Join(experiment.FlagNames("fig"), ",")+")")
+	rtt := fs.Bool("rtt", false, "measure the half-RTT table (T-RTT)")
+	ablations := fs.String("ablation", "", "comma-separated ablations ("+strings.Join(experiment.FlagNames("ablation"), ",")+")")
+	determinism := fs.Bool("determinism", false, "run the determinism sanitizer: every registry arm twice with one seed, failing on any byte difference in the result JSON (with -short: quick protocol, A-PIPELINE on its corner grid)")
+	determinismInject := fs.Bool("determinism-inject", false, "deliberately salt the determinism check with global math/rand entropy; the check must then fail (self-test of the sanitizer)")
+	all := fs.Bool("all", false, "regenerate every figure, table and ablation")
+	short := fs.Bool("short", false, "use the 2/5/1-minute quick protocol instead of 10/20/5")
+	seed := fs.Int64("seed", 1, "base random seed")
+	par := fs.Int("par", 0, "parallel runs (0 = GOMAXPROCS)")
+	tracePath := fs.String("trace", "", "run one fully-traced pipeline point and write its Chrome trace-event JSON here (view in chrome://tracing or summarize with cloudrepl-trace)")
+	csvDir := fs.String("csv", "", "directory to write per-figure CSV files into")
+	jsonDir := fs.String("json", "", "directory to write machine-readable BENCH_*.json files into")
+	benchKernel := fs.Bool("bench-kernel", false, "measure raw sim-kernel speed (events/sec, ns/event, allocs/event) and emit BENCH_kernel.json; also runs as part of -all")
+	kernelBaseline := fs.String("kernel-baseline", "", "checked-in kernel baseline JSON to gate against: fail when micro ns/event regresses >20% or cell allocs/event >2% (update with: cp <jsondir>/BENCH_kernel.json bench/kernel_baseline.json)")
+	benchPlan := fs.Bool("bench-plan", false, "measure executor speed by query shape (point read, index scan, hash join, grouped aggregate) and emit BENCH_planner.json; also runs as part of -all")
+	planBaseline := fs.String("plan-baseline", "", "checked-in planner baseline JSON to gate against: fail when any shape's rate regresses >20% (update with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json)")
+	quiet := fs.Bool("q", false, "suppress per-run progress lines")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
+	debug.SetGCPercent(gcPercent)
 
-	figNames := []string{"2", "3", "4", "5", "6"}
-	ablationNames := []string{"sync", "lb", "var", "prio", "arch", "chaos", "elastic", "pipeline", "shard", "consist", "plan"}
-	want := map[string]bool{}
-	// addNames marks each name of a comma-separated flag value; a name
-	// outside valid is a usage error, so a typo never runs nothing and
-	// exits 0.
-	addNames := func(flagName, list, key string, valid []string) {
-		for _, n := range strings.Split(list, ",") {
-			if n = strings.TrimSpace(n); n == "" {
-				continue
-			}
-			if !slices.Contains(valid, n) {
-				fmt.Fprintf(os.Stderr, "cloudrepl-bench: unknown -%s name %q (valid: %s)\n", flagName, n, strings.Join(valid, ","))
-				os.Exit(2)
-			}
-			want[key+n] = true
+	sel := experiment.Selection{}
+	for _, f := range []struct{ flag, list string }{{"fig", *figs}, {"ablation", *ablations}} {
+		if err := sel.Add(f.flag, f.list); err != nil {
+			fmt.Fprintln(stderr, "cloudrepl-bench:", err)
+			return 2
 		}
 	}
-	addNames("fig", *figs, "fig", figNames)
-	addNames("ablation", *ablations, "ab-", ablationNames)
-	if *rtt {
-		want["rtt"] = true
+	for _, f := range []struct {
+		flag string
+		on   bool
+	}{{"rtt", *rtt}, {"bench-kernel", *benchKernel}, {"bench-plan", *benchPlan}} {
+		if f.on {
+			sel.AddFlag(f.flag)
+		}
 	}
 	if *all {
-		for _, f := range figNames {
-			want["fig"+f] = true
-		}
-		for _, a := range ablationNames {
-			want["ab-"+a] = true
-		}
-		want["rtt"], want["kernel"], want["planner"] = true, true, true
-	}
-	if *benchKernel {
-		want["kernel"] = true
-	}
-	if *benchPlan {
-		want["planner"] = true
+		sel.AddAll()
 	}
 	opts := experiment.SweepOpts{Short: *short, Parallelism: *par, Seed: *seed}
 	if !*quiet {
-		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+		opts.Progress = func(s string) { fmt.Fprintln(stderr, s) }
 	}
 
-	if *determinism || *determinismInject {
+	switch {
+	case *determinism || *determinismInject:
 		experiment.InjectNondeterminism = *determinismInject
-		banner("determinism sanitizer: A-PIPELINE twice with one seed, byte-compared JSON")
-		if err := experiment.PipelineDeterminism(opts, *short); err != nil {
-			fatal(err)
-		}
-		banner("determinism sanitizer: traced run twice with one seed, byte-compared trace + metrics")
-		if err := experiment.TraceDeterminism(opts); err != nil {
-			fatal(err)
-		}
-		banner("determinism sanitizer: sharded runner serial vs parallel, byte-compared merged JSON")
-		if err := experiment.KernelDeterminism(opts); err != nil {
-			fatal(err)
-		}
-		banner("determinism sanitizer: sharded tier with a live split twice with one seed, byte-compared JSON")
-		if err := experiment.ShardDeterminism(opts); err != nil {
-			fatal(err)
-		}
-		banner("determinism sanitizer: MVCC session-consistency arm twice with one seed, byte-compared JSON")
-		if err := experiment.ConsistDeterminism(opts); err != nil {
-			fatal(err)
-		}
-		banner("determinism sanitizer: cost-based planner arm twice with one seed, byte-compared JSON incl. EXPLAIN")
-		if err := experiment.PlanDeterminism(opts); err != nil {
-			fatal(err)
-		}
-		fmt.Println("determinism check passed: both runs produced byte-identical JSON")
-		return
-	}
-
-	if len(want) == 0 && *tracePath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	writeCSV := func(name, content string) {
-		if *csvDir == "" {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
-		}
-		path := filepath.Join(*csvDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	writeJSON := func(name string, v any) {
-		if *jsonDir == "" {
-			return
-		}
-		if err := experiment.WriteJSON(*jsonDir, name, v); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(*jsonDir, "BENCH_"+name+".json"))
-	}
-
-	start := time.Now() //cloudrepl:allow-simtime the CLI reports real elapsed wall time, not simulated time
-
-	if want["fig2"] || want["fig5"] {
-		sw := experiment.Fig2Sweep(opts)
-		banner("sweep: 50/50, data size 300 (figures 2 and 5)")
-		if err := sw.Run(); err != nil {
-			fatal(err)
-		}
-		if want["fig2"] {
-			fmt.Println(sw.RenderThroughput("Fig. 2 — end-to-end throughput, 50/50"))
-			fmt.Println(sw.RenderSaturation("T-SAT (50/50)"))
-		}
-		if want["fig5"] {
-			fmt.Println(sw.RenderDelay("Fig. 5 — average relative replication delay, 50/50"))
-		}
-		writeCSV("fig2_fig5.csv", sw.CSV())
-		writeJSON("fig2_fig5", experiment.SweepJSON(sw))
-	}
-
-	if want["fig3"] || want["fig6"] {
-		sw := experiment.Fig3Sweep(opts)
-		banner("sweep: 80/20, data size 600 (figures 3 and 6)")
-		if err := sw.Run(); err != nil {
-			fatal(err)
-		}
-		if want["fig3"] {
-			fmt.Println(sw.RenderThroughput("Fig. 3 — end-to-end throughput, 80/20"))
-			fmt.Println(sw.RenderSaturation("T-SAT (80/20)"))
-		}
-		if want["fig6"] {
-			fmt.Println(sw.RenderDelay("Fig. 6 — average relative replication delay, 80/20"))
-		}
-		writeCSV("fig3_fig6.csv", sw.CSV())
-		writeJSON("fig3_fig6", experiment.SweepJSON(sw))
-	}
-
-	if want["fig4"] {
-		banner("clock synchronization (figure 4 and T-NTP)")
-		once, every := experiment.Fig4(*seed)
-		fmt.Println(experiment.RenderFig4(once, every))
-		var csv strings.Builder
-		csv.WriteString("second,sync_once_ms,sync_every_second_ms\n")
-		for i := range once.SamplesM {
-			fmt.Fprintf(&csv, "%d,%.3f,%.3f\n", i+1, once.SamplesM[i], every.SamplesM[i])
-		}
-		writeCSV("fig4.csv", csv.String())
-		writeJSON("fig4", experiment.Fig4JSON(once, every))
-	}
-
-	if want["rtt"] {
-		banner("half-RTT measurements (T-RTT)")
-		rows := experiment.TableRTT(*seed)
-		fmt.Println(experiment.RenderRTT(rows))
-		writeJSON("rtt", experiment.RTTJSON(rows))
-	}
-
-	if want["ab-sync"] {
-		banner("ablation: synchronization models (A-SYNC)")
-		rows, err := experiment.AblationSyncModes(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderSyncModes(rows))
-		writeJSON("sync", experiment.SyncModesJSON(rows))
-	}
-
-	if want["ab-lb"] {
-		banner("ablation: read balancers (A-LB)")
-		rows, err := experiment.AblationBalancers(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderBalancers(rows))
-		writeJSON("lb", experiment.BalancersJSON(rows))
-	}
-
-	if want["ab-prio"] {
-		banner("ablation: prioritized SQL applier (A-PRIO)")
-		r, err := experiment.AblationApplierPriority(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderApplierPriority(r))
-		writeJSON("prio", experiment.PriorityJSON(r))
-	}
-
-	if want["ab-arch"] {
-		banner("ablation: master-slave vs multi-master (A-ARCH)")
-		rows, err := experiment.AblationArchitectures(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderArchitectures(rows))
-		writeJSON("arch", experiment.ArchitecturesJSON(rows))
-	}
-
-	if want["ab-chaos"] {
-		banner("ablation: fault injection and recovery (A-CHAOS)")
-		r, err := experiment.AblationChaos(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderChaos(r))
-		writeJSON("chaos", experiment.ChaosJSON(r))
-	}
-
-	if want["ab-var"] {
-		banner("ablation: instance performance variation (A-VAR)")
-		v, err := experiment.AblationInstanceVariation(opts, 12)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderVariation(v))
-		writeJSON("var", experiment.VariationJSON(v))
-	}
-
-	if want["ab-pipeline"] {
-		banner("ablation: replication pipeline (A-PIPELINE)")
-		r, err := experiment.AblationPipeline(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderPipeline(r))
-		writeJSON("pipeline", experiment.PipelineJSON(r))
-	}
-
-	if want["ab-shard"] {
-		banner("ablation: cell-sharded scale-out (A-SHARD)")
-		r, err := experiment.AblationSharding(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderSharding(r))
-		writeJSON("shard", experiment.ShardingJSON(r))
-	}
-
-	if want["ab-consist"] {
-		banner("ablation: read-consistency tiers (A-CONSIST)")
-		r, err := experiment.AblationConsistency(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderConsistency(r))
-		writeJSON("consist", experiment.ConsistencyJSON(r))
-	}
-
-	if want["ab-plan"] {
-		banner("ablation: cost-based planner vs naive planning (A-PLAN)")
-		r, err := experiment.AblationPlan(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderPlan(r))
-		writeJSON("plan", experiment.PlanJSON(r))
-	}
-
-	if want["ab-elastic"] {
-		banner("ablation: SLO-driven autoscaling (A-ELASTIC)")
-		r, err := experiment.AblationElastic(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderElastic(r))
-		writeJSON("elastic", experiment.ElasticJSON(r))
-	}
-
-	if *tracePath != "" {
-		banner("trace: fully-instrumented pipeline run (quick protocol)")
-		r, err := experiment.TraceRun(opts)
-		if err != nil {
-			fatal(err)
-		}
-		if dir := filepath.Dir(*tracePath); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(*tracePath, r.TraceJSON, 0o644); err != nil {
-			fatal(err)
-		}
-		spans, err := obs.ParseTrace(r.TraceJSON)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(obs.Summarize(spans, 10))
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", *tracePath, len(spans))
-	}
-
-	if want["kernel"] {
-		banner("kernel bench: raw scheduler speed (micro workload + one experiment cell)")
-		//cloudrepl:allow-simtime the kernel bench records the surrounding sweep's real wall-clock
-		r, err := experiment.KernelBench(opts, time.Since(start))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderKernelBench(r))
-		writeJSON("kernel", r)
-		if *kernelBaseline != "" {
-			if err := experiment.CheckKernelBaseline(*kernelBaseline, r); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("kernel baseline gate passed (%s)\n", *kernelBaseline)
-		}
-	}
-
-	if want["planner"] {
-		banner("planner bench: executor speed by query shape (point read, index scan, hash join, group agg)")
-		r, err := experiment.PlanBench()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiment.RenderPlanBench(r))
-		writeJSON("planner", r)
-		if *planBaseline != "" {
-			if err := experiment.CheckPlanBaseline(*planBaseline, r); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("planner baseline gate passed (%s)\n", *planBaseline)
-		}
+		return exitStatus(stderr, checkDeterminism(stdout, opts))
+	case len(sel) == 0 && *tracePath == "":
+		fs.Usage()
+		return 2
 	}
 
 	//cloudrepl:allow-simtime the CLI reports real elapsed wall time, not simulated time
-	fmt.Fprintf(os.Stderr, "total wall time: %v\n", time.Since(start).Round(time.Second))
+	start := time.Now()
+	var ran time.Duration // wall time of the sections run so far
+	baselines := map[string]string{"kernel": *kernelBaseline, "planner": *planBaseline}
+	for _, s := range experiment.Sections() {
+		if !sel.Selects(s) {
+			continue
+		}
+		banner(stdout, s.Banner)
+		//cloudrepl:allow-simtime the kernel bench records the wall time of the sections run before it
+		sectionStart := time.Now()
+		out, err := s.Run(opts, ran)
+		//cloudrepl:allow-simtime the kernel bench records the wall time of the sections run before it
+		ran += time.Since(sectionStart)
+		if err != nil {
+			return exitStatus(stderr, err)
+		}
+		for i, n := range s.Names {
+			if sel[n] {
+				fmt.Fprintln(stdout, out.Text[i])
+			}
+		}
+		if out.CSV != "" && *csvDir != "" {
+			if err := write(stderr, filepath.Join(*csvDir, s.File+".csv"), []byte(out.CSV)); err != nil {
+				return exitStatus(stderr, err)
+			}
+		}
+		if *jsonDir != "" {
+			data, err := json.MarshalIndent(out.JSON, "", "  ")
+			if err == nil {
+				err = write(stderr, filepath.Join(*jsonDir, "BENCH_"+s.File+".json"), append(data, '\n'))
+			}
+			if err != nil {
+				return exitStatus(stderr, err)
+			}
+		}
+		if path := baselines[s.File]; path != "" && out.Gate != nil {
+			if err := out.Gate(path); err != nil {
+				return exitStatus(stderr, err)
+			}
+			fmt.Fprintf(stdout, "%s baseline gate passed (%s)\n", s.File, path)
+		}
+	}
+
+	if *tracePath != "" {
+		banner(stdout, "trace: fully-instrumented pipeline run (quick protocol)")
+		r, err := experiment.TraceRun(opts)
+		if err == nil {
+			err = write(stderr, *tracePath, r.TraceJSON)
+		}
+		if err != nil {
+			return exitStatus(stderr, err)
+		}
+		spans, err := obs.ParseTrace(r.TraceJSON)
+		if err != nil {
+			return exitStatus(stderr, err)
+		}
+		fmt.Fprintln(stdout, obs.Summarize(spans, 10))
+	}
+	//cloudrepl:allow-simtime the CLI reports real elapsed wall time, not simulated time
+	fmt.Fprintf(stderr, "total wall time: %v\n", time.Since(start).Round(time.Second))
+	return 0
 }
 
-func banner(s string) {
-	fmt.Println("==============================================================================")
-	fmt.Println(s)
-	fmt.Println("==============================================================================")
+// exitStatus reports err and returns the command's exit status for it.
+func exitStatus(stderr io.Writer, err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "cloudrepl-bench:", err)
+	return 1
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cloudrepl-bench:", err)
-	os.Exit(1)
+// checkDeterminism runs every determinism arm of the registry in order.
+func checkDeterminism(stdout io.Writer, opts experiment.SweepOpts) error {
+	for _, s := range experiment.Sections() {
+		if a := s.Determinism; a != nil {
+			banner(stdout, "determinism sanitizer: "+a.Banner)
+			if err := a.Check(opts); err != nil {
+				return err
+			}
+		}
+	}
+	fmt.Fprintln(stdout, "determinism check passed: both runs produced byte-identical JSON")
+	return nil
+}
+
+// write puts data into path, creating its directory.
+func write(stderr io.Writer, path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %s\n", path)
+	return nil
+}
+
+func banner(w io.Writer, s string) {
+	fmt.Fprintln(w, "==============================================================================")
+	fmt.Fprintln(w, s)
+	fmt.Fprintln(w, "==============================================================================")
 }

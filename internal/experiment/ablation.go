@@ -46,9 +46,7 @@ func AblationSyncModes(opts SweepOpts) ([]SyncModeResult, error) {
 		}
 	}
 	results, err := RunShards(specs, opts.Parallelism, func(i int, res RunResult) {
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("sync-mode %-9s %-28s tp=%6.2f wlat=%7.1fms", cells[i].mode, cells[i].loc, res.Throughput, res.WriteLatencyMsMean))
-		}
+		opts.progressf("sync-mode %-9s %-28s tp=%6.2f wlat=%7.1fms", cells[i].mode, cells[i].loc, res.Throughput, res.WriteLatencyMsMean)
 	})
 	if err != nil {
 		return nil, err
@@ -60,8 +58,8 @@ func AblationSyncModes(opts SweepOpts) ([]SyncModeResult, error) {
 	return out, nil
 }
 
-// RenderSyncModes formats A-SYNC.
-func RenderSyncModes(rows []SyncModeResult) string {
+// renderSyncModes formats A-SYNC.
+func renderSyncModes(rows []SyncModeResult) string {
 	var b strings.Builder
 	b.WriteString("A-SYNC — synchronization models (100 users, 3 slaves, 50/50)\n\n")
 	fmt.Fprintf(&b, "%-30s %-10s %12s %16s %16s %14s\n",
@@ -108,10 +106,8 @@ func AblationBalancers(opts SweepOpts) ([]BalancerResult, error) {
 		}
 	}
 	results, err := RunShards(specs, opts.Parallelism, func(i int, res RunResult) {
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("balancer %-22s tp=%6.2f delay=%10.1fms fallbacks=%d",
-				cases[i].name, res.Throughput, res.AvgDelayMs, res.MasterFallbacks))
-		}
+		opts.progressf("balancer %-22s tp=%6.2f delay=%10.1fms fallbacks=%d",
+			cases[i].name, res.Throughput, res.AvgDelayMs, res.MasterFallbacks)
 	})
 	if err != nil {
 		return nil, err
@@ -123,8 +119,8 @@ func AblationBalancers(opts SweepOpts) ([]BalancerResult, error) {
 	return out, nil
 }
 
-// RenderBalancers formats A-LB.
-func RenderBalancers(rows []BalancerResult) string {
+// renderBalancers formats A-LB.
+func renderBalancers(rows []BalancerResult) string {
 	var b strings.Builder
 	b.WriteString("A-LB — read balancers past slave saturation (150 users, 2 slaves, 50/50, same zone)\n\n")
 	fmt.Fprintf(&b, "%-24s %12s %14s %18s %12s\n",
@@ -185,9 +181,7 @@ func AblationInstanceVariation(opts SweepOpts, samples int) (VariationResult, er
 		if tp > out.MaxTp {
 			out.MaxTp = tp
 		}
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("variation sample %2d: tp=%6.2f", i+1, tp))
-		}
+		opts.progressf("variation sample %2d: tp=%6.2f", i+1, tp)
 	}
 	n := float64(samples)
 	out.MeanTp = sum / n
@@ -199,8 +193,8 @@ func AblationInstanceVariation(opts SweepOpts, samples int) (VariationResult, er
 	return out, nil
 }
 
-// RenderVariation formats A-VAR.
-func RenderVariation(v VariationResult) string {
+// renderVariation formats A-VAR.
+func renderVariation(v VariationResult) string {
 	var b strings.Builder
 	b.WriteString("A-VAR — instance performance lottery (150 users, 1 slave, 50/50, CoV 21% CPUs)\n\n")
 	fmt.Fprintf(&b, "homogeneous control: %6.2f ops/s\n", v.HomogeneousTp)
@@ -238,14 +232,12 @@ func AblationApplierPriority(opts SweepOpts) (PriorityResult, error) {
 		return PriorityResult{}, err
 	}
 	normal, prio := results[0], results[1]
-	if opts.Progress != nil {
-		opts.Progress(fmt.Sprintf("applier priority: delay %0.1fms → %0.1fms", normal.AvgDelayMs, prio.AvgDelayMs))
-	}
+	opts.progressf("applier priority: delay %0.1fms → %0.1fms", normal.AvgDelayMs, prio.AvgDelayMs)
 	return PriorityResult{Normal: normal, Prioritized: prio}, nil
 }
 
-// RenderApplierPriority formats A-PRIO.
-func RenderApplierPriority(r PriorityResult) string {
+// renderApplierPriority formats A-PRIO.
+func renderApplierPriority(r PriorityResult) string {
 	var b strings.Builder
 	b.WriteString("A-PRIO — prioritized SQL applier at saturation (150 users, 2 slaves, 50/50)\n\n")
 	fmt.Fprintf(&b, "%-22s %12s %16s %14s\n", "applier scheduling", "tp (ops/s)", "delay (ms)", "op lat (ms)")
@@ -370,10 +362,8 @@ func AblationArchitectures(opts SweepOpts) ([]ArchResult, error) {
 		env.Shutdown()
 	}
 
-	if opts.Progress != nil {
-		for _, r := range out {
-			opts.Progress(fmt.Sprintf("arch %-24s tp=%6.2f wlat=%7.1fms", r.Arch, r.Throughput, r.WriteLatencyMs))
-		}
+	for _, r := range out {
+		opts.progressf("arch %-24s tp=%6.2f wlat=%7.1fms", r.Arch, r.Throughput, r.WriteLatencyMs)
 	}
 	return out, nil
 }
@@ -424,8 +414,8 @@ func runArchLoad(env *sim.Env, users int, ratio float64, think, warm, measure ti
 	return res
 }
 
-// RenderArchitectures formats A-ARCH.
-func RenderArchitectures(rows []ArchResult) string {
+// renderArchitectures formats A-ARCH.
+func renderArchitectures(rows []ArchResult) string {
 	var b strings.Builder
 	b.WriteString("A-ARCH — master-slave vs multi-master on identical hardware (120 users, 50/50)\n\n")
 	fmt.Fprintf(&b, "%-26s %12s %16s %16s\n", "architecture", "tp (ops/s)", "write lat (ms)", "read lat (ms)")

@@ -100,11 +100,8 @@ func AblationSharding(opts SweepOpts) (ShardingResult, error) {
 			return out, err
 		}
 		out.Arms = append(out.Arms, arm.arm)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf(
-				"shard %d-cell %4d users  tp=%7.2f ops/s  err=%d  single-p95=%6.1fms scatter-p95=%6.1fms",
-				cells, users, arm.arm.Throughput, arm.arm.Errors, arm.arm.SingleP95Ms, arm.arm.ScatterP95Ms))
-		}
+		opts.progressf("shard %d-cell %4d users  tp=%7.2f ops/s  err=%d  single-p95=%6.1fms scatter-p95=%6.1fms",
+			cells, users, arm.arm.Throughput, arm.arm.Errors, arm.arm.SingleP95Ms, arm.arm.ScatterP95Ms)
 	}
 	for _, a := range out.Arms {
 		if a.Cells == 4 && out.Arms[0].Cells == 1 && out.Arms[0].Throughput > 0 {
@@ -252,10 +249,10 @@ func runShardArm(s shardArmSpec) (shardArmOut, error) {
 	return shardArmOut{arm: arm, split: split}, nil
 }
 
-// ShardDeterminism runs the 2-cell arm (with a mid-steady split, the most
-// event-interleaved configuration the subsystem has) twice from one seed
-// and fails on any byte difference in the marshalled results.
-func ShardDeterminism(opts SweepOpts) error {
+// shardArm is the A-SHARD determinism arm: the 2-cell arm with a
+// mid-steady split, the most event-interleaved configuration the subsystem
+// has.
+func shardArm(opts SweepOpts) (any, error) {
 	ramp, steady, down := opts.phases()
 	if opts.Short {
 		ramp, steady, down = time.Minute, 3*time.Minute, 30*time.Second
@@ -264,15 +261,13 @@ func ShardDeterminism(opts SweepOpts) error {
 		seed: opts.Seed, users: 150, cells: 2, slaves: 2,
 		scale: 300, readRatio: 0.5, ramp: ramp, steady: steady, down: down, split: true,
 	}
-	return CheckDeterminism("A-SHARD", func() (any, error) {
-		r, err := runShardArm(spec)
-		// shardArmOut's fields are unexported and would encode as {}.
-		return []any{r.arm, r.split}, err
-	})
+	r, err := runShardArm(spec)
+	// shardArmOut's fields are unexported and would encode as {}.
+	return []any{r.arm, r.split}, err
 }
 
-// RenderSharding formats the A-SHARD ablation for the terminal.
-func RenderSharding(r ShardingResult) string {
+// renderSharding formats the A-SHARD ablation for the terminal.
+func renderSharding(r ShardingResult) string {
 	var b strings.Builder
 	b.WriteString("A-SHARD — cell-sharded scale-out at fixed load (Cloudstone 20/80 read/write, 25% cross-shard reads)\n")
 	b.WriteString("the write-heavy regime is the paper's hard ceiling: once the master is\n")
@@ -324,8 +319,8 @@ func RenderSharding(r ShardingResult) string {
 	return b.String()
 }
 
-// ShardingJSON shapes the ablation for BENCH_shard.json.
-func ShardingJSON(r ShardingResult) any {
+// shardingJSON shapes the ablation for BENCH_shard.json.
+func shardingJSON(r ShardingResult) any {
 	type arm struct {
 		Cells             int      `json:"cells"`
 		Users             int      `json:"users"`

@@ -147,12 +147,9 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 
 	out := ChaosResult{CrashAt: crashAt, SlaveDownFor: downFor}
 	report := func(sc ChaosScenario) {
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf(
-				"chaos %-12s tp=%6.2f dip=%5.1f%% recovery=%6.1fs errs=%.3f%% failovers=%d master=%s",
-				sc.Name, sc.Res.Throughput, sc.DipPct, sc.RecoverySec,
-				sc.ErrorRate*100, sc.Res.ProxyStats.Failovers, sc.Res.FinalMaster))
-		}
+		opts.progressf("chaos %-12s tp=%6.2f dip=%5.1f%% recovery=%6.1fs errs=%.3f%% failovers=%d master=%s",
+			sc.Name, sc.Res.Throughput, sc.DipPct, sc.RecoverySec,
+			sc.ErrorRate*100, sc.Res.ProxyStats.Failovers, sc.Res.FinalMaster)
 	}
 
 	specs := []RunSpec{
@@ -174,8 +171,8 @@ func AblationChaos(opts SweepOpts) (ChaosResult, error) {
 	return out, nil
 }
 
-// RenderChaos formats A-CHAOS.
-func RenderChaos(r ChaosResult) string {
+// renderChaos formats A-CHAOS.
+func renderChaos(r ChaosResult) string {
 	var b strings.Builder
 	b.WriteString("A-CHAOS — fault injection at the Fig. 2 mid-load point (100 users, 2 slaves, 50/50, same zone)\n")
 	fmt.Fprintf(&b, "fault fires at %v; crashed slave returns after %v; master crash is permanent\n\n",

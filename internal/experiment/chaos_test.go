@@ -138,7 +138,7 @@ func TestRenderChaosFormatting(t *testing.T) {
 		MasterCrash: ChaosScenario{Name: "master-crash", RecoverySec: -1},
 	}
 	r.MasterCrash.Res.FinalMaster = "slave2"
-	out := RenderChaos(r)
+	out := renderChaos(r)
 	for _, want := range []string{"A-CHAOS", "slave-crash", "master-crash", "failovers", "slave2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

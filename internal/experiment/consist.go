@@ -83,12 +83,9 @@ func AblationConsistency(opts SweepOpts) (ConsistencyResult, error) {
 			return out, err
 		}
 		out.Arms = append(out.Arms, arm)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf(
-				"consist %-8s %4d users  tp=%7.2f ops/s  master-reads=%5.1f%%  stale=%6.2f ev  ryw=%6.2f%%  err=%d",
-				arm.Tier, arm.Users, arm.Throughput, arm.MasterReadSharePct,
-				arm.AvgStaleEvents, arm.RYWCompliancePct, arm.Errors))
-		}
+		opts.progressf("consist %-8s %4d users  tp=%7.2f ops/s  master-reads=%5.1f%%  stale=%6.2f ev  ryw=%6.2f%%  err=%d",
+			arm.Tier, arm.Users, arm.Throughput, arm.MasterReadSharePct,
+			arm.AvgStaleEvents, arm.RYWCompliancePct, arm.Errors)
 	}
 	return out, nil
 }
@@ -126,23 +123,21 @@ func runConsistArm(opts SweepOpts, g consistGrid, tier proxy.Consistency) (Consi
 	return arm, nil
 }
 
-// ConsistDeterminism runs the Session arm (the most stateful tier: token
-// minting, epoch checks, per-slave watermark filtering, and the MVCC
-// version stamps underneath) twice from one seed and fails on any byte
-// difference in the marshalled result — commit-version streams included,
-// since AvgDelayMs and the staleness counters are derived from them.
-func ConsistDeterminism(opts SweepOpts) error {
+// consistArm is the A-CONSIST determinism arm: the Session tier, the most
+// stateful one (token minting, epoch checks, per-slave watermark
+// filtering, and the MVCC version stamps underneath). Commit-version
+// streams are covered too, since AvgDelayMs and the staleness counters are
+// derived from them.
+func consistArm(opts SweepOpts) (any, error) {
 	g := defaultConsistGrid()
 	if opts.Short {
 		g.users = 150
 	}
-	return CheckDeterminism("A-CONSIST", func() (any, error) {
-		return runConsistArm(opts, g, proxy.Session)
-	})
+	return runConsistArm(opts, g, proxy.Session)
 }
 
-// RenderConsistency formats the A-CONSIST ablation for the terminal.
-func RenderConsistency(r ConsistencyResult) string {
+// renderConsistency formats the A-CONSIST ablation for the terminal.
+func renderConsistency(r ConsistencyResult) string {
 	var b strings.Builder
 	b.WriteString("A-CONSIST — read-consistency tiers on one Cloudstone grid\n")
 	fmt.Fprintf(&b, "%d users, %d slaves, %.0f/%.0f read/write mix, same-zone async replication\n\n",
@@ -164,8 +159,8 @@ func RenderConsistency(r ConsistencyResult) string {
 	return b.String()
 }
 
-// ConsistencyJSON shapes the ablation for BENCH_consist.json.
-func ConsistencyJSON(r ConsistencyResult) any {
+// consistencyJSON shapes the ablation for BENCH_consist.json.
+func consistencyJSON(r ConsistencyResult) any {
 	type arm struct {
 		Tier               string  `json:"tier"`
 		Throughput         float64 `json:"throughput_ops_s"`

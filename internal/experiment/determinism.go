@@ -72,43 +72,40 @@ func firstDivergence(a, b []byte) string {
 		n, len(al), len(bl))
 }
 
-// PipelineDeterminism runs the A-PIPELINE ablation twice with the same
-// SweepOpts (hence the same seed schedule) and byte-compares the JSON the
-// bench would write. quick trims the grid to the corner points — two
+// pipelineArm is the A-PIPELINE determinism arm: the ablation's BENCH
+// JSON. With opts.Short the grid is trimmed to the corner points — two
 // variants, 1 and 4 slaves, two workloads — which exercises every pipeline
 // stage (group commit, batching, parallel apply) in a fraction of the time;
-// the full grid is the real A-PIPELINE sweep.
-func PipelineDeterminism(opts SweepOpts, quick bool) error {
-	variants := PipelineVariants()
-	slaveNums := []int{1, 2, 4}
-	userNums := []int{50, 100, 150, 200, 250, 300}
-	if quick {
-		variants = []PipelineVariant{variants[0], variants[len(variants)-1]}
-		slaveNums = []int{1, 4}
-		userNums = []int{50, 150}
+// otherwise it is the full A-PIPELINE sweep.
+func pipelineArm(opts SweepOpts) (any, error) {
+	var r PipelineResult
+	var err error
+	if opts.Short {
+		v := PipelineVariants()
+		r, err = ablationPipelineGrid(opts, []PipelineVariant{v[0], v[len(v)-1]}, []int{1, 4}, []int{50, 150})
+	} else {
+		r, err = AblationPipeline(opts)
 	}
-	return CheckDeterminism("A-PIPELINE", func() (any, error) {
-		r, err := ablationPipelineGrid(opts, variants, slaveNums, userNums)
-		if err != nil {
-			return nil, err
-		}
-		return PipelineJSON(r), nil
-	})
+	if err != nil {
+		return nil, err
+	}
+	return pipelineJSON(r), nil
 }
 
-// TraceDeterminism runs the traced pipeline point twice with one seed and
-// byte-compares the Chrome trace export together with the metrics snapshot:
-// span IDs, virtual timestamps and registry values must all be identical
-// run to run, or tracing has leaked nondeterminism into the simulation.
-func TraceDeterminism(opts SweepOpts) error {
-	return CheckDeterminism("A-TRACE", func() (any, error) {
-		r, err := TraceRun(opts)
-		if err != nil {
-			return nil, err
-		}
-		return struct {
-			Trace   json.RawMessage    `json:"trace"`
-			Metrics map[string]float64 `json:"metrics"`
-		}{json.RawMessage(r.TraceJSON), r.Metrics}, nil
-	})
+// tracePayload is what the A-TRACE arm compares: the Chrome trace export
+// together with the metrics snapshot.
+type tracePayload struct {
+	Trace   json.RawMessage    `json:"trace"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// traceArm is the A-TRACE determinism arm: the traced pipeline point. Span
+// IDs, virtual timestamps and registry values must all be identical run to
+// run, or tracing has leaked nondeterminism into the simulation.
+func traceArm(opts SweepOpts) (any, error) {
+	r, err := TraceRun(opts)
+	if err != nil {
+		return nil, err
+	}
+	return tracePayload{r.TraceJSON, r.Metrics}, nil
 }

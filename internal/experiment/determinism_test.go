@@ -48,15 +48,27 @@ func TestInjectNondeterminismFailsTheCheck(t *testing.T) {
 }
 
 // TestPipelineDeterminism is the regression guard for the repo's core
-// contract: the A-PIPELINE ablation (short protocol, corner grid) run twice
-// with one seed emits byte-identical JSON. Any global rand, wall-clock read
-// or unordered map range on the hot path breaks this test before it breaks
-// a figure.
+// contract: the registry's A-PIPELINE arm (short protocol, corner grid) run
+// twice with one seed emits byte-identical JSON. Any global rand, wall-clock
+// read or unordered map range on the hot path breaks this test before it
+// breaks a figure.
 func TestPipelineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the corner-grid ablation twice; skipped in -short")
 	}
-	if err := PipelineDeterminism(SweepOpts{Short: true, Seed: 42}, true); err != nil {
+	if err := registryArm(t, "A-PIPELINE").Check(SweepOpts{Short: true, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// registryArm returns the determinism arm of that name from the registry.
+func registryArm(t *testing.T, name string) *Arm {
+	t.Helper()
+	for _, s := range Sections() {
+		if s.Determinism != nil && s.Determinism.Name == name {
+			return s.Determinism
+		}
+	}
+	t.Fatalf("no determinism arm %q in the registry", name)
+	return nil
 }

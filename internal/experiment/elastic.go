@@ -102,12 +102,9 @@ func AblationElastic(opts SweepOpts) (ElasticResult, error) {
 			return out, err
 		}
 		out.Fleets = append(out.Fleets, fr)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf(
-				"elastic %-14s tp=%6.2f ops/s  slo-viol=%8s  vm=%6.1f min  slaves end=%d peak=%d  %s",
-				fr.Name, fr.Throughput, fr.SLOViolation.Truncate(time.Second),
-				fr.SlaveVMMinutes, fr.FinalSlaves, fr.PeakSlaves, fr.Verdict))
-		}
+		opts.progressf("elastic %-14s tp=%6.2f ops/s  slo-viol=%8s  vm=%6.1f min  slaves end=%d peak=%d  %s",
+			fr.Name, fr.Throughput, fr.SLOViolation.Truncate(time.Second),
+			fr.SlaveVMMinutes, fr.FinalSlaves, fr.PeakSlaves, fr.Verdict)
 	}
 	return out, nil
 }
@@ -236,8 +233,8 @@ func runElasticArm(seed int64, arm elasticArm, stages []cloudstone.Stage, sloMs 
 	return fr, nil
 }
 
-// RenderElastic formats A-ELASTIC.
-func RenderElastic(r ElasticResult) string {
+// renderElastic formats A-ELASTIC.
+func renderElastic(r ElasticResult) string {
 	var b strings.Builder
 	b.WriteString("A-ELASTIC — SLO-driven autoscaling on a stepped load ramp (50/50 read/write, same zone)\n")
 	b.WriteString("ramp: ")

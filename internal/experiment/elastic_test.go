@@ -55,7 +55,7 @@ func TestAblationElastic(t *testing.T) {
 	if slo.Throughput <= fixed1.Throughput {
 		t.Errorf("staleness-slo throughput %.2f not above fixed-1 %.2f", slo.Throughput, fixed1.Throughput)
 	}
-	t.Logf("\n%s", RenderElastic(r))
+	t.Logf("\n%s", renderElastic(r))
 }
 
 // TestElasticArmDeterministic: the same seed must reproduce the same

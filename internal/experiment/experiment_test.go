@@ -198,14 +198,14 @@ func TestSweepFillsAllCells(t *testing.T) {
 	if d := sw.RelativeDelay(SameZone, 1, 100); d <= 0 {
 		t.Fatalf("relative delay = %v", d)
 	}
-	out := sw.RenderThroughput("FIG test")
+	out := sw.renderThroughput("FIG test")
 	if !strings.Contains(out, "users") || !strings.Contains(out, "1 slv") {
 		t.Fatalf("render output malformed:\n%s", out)
 	}
-	if csv := sw.CSV(); !strings.Contains(csv, "same zone") {
-		t.Fatalf("csv malformed:\n%s", csv)
+	if out := sw.csv(); !strings.Contains(out, "same zone") {
+		t.Fatalf("csv malformed:\n%s", out)
 	}
-	if sat := sw.RenderSaturation("FIG test"); !strings.Contains(sat, "slaves") {
+	if sat := sw.renderSaturation("FIG test"); !strings.Contains(sat, "slaves") {
 		t.Fatalf("saturation table malformed:\n%s", sat)
 	}
 }
@@ -244,7 +244,7 @@ func TestFig4ReproducesPaperStats(t *testing.T) {
 	if every.Stats.StdDev < 0.4 || every.Stats.StdDev > 2.5 {
 		t.Fatalf("every-second σ %.2f ms, paper ≈1.19", every.Stats.StdDev)
 	}
-	out := RenderFig4(once, every)
+	out := renderFig4(once, every)
 	if !strings.Contains(out, "median") {
 		t.Fatalf("render: %s", out)
 	}
@@ -262,7 +262,7 @@ func TestTableRTTMatchesPaper(t *testing.T) {
 			t.Fatalf("%s half-RTT %.1f ms, want ≈%.0f", r.Loc, r.HalfRTTMs, w)
 		}
 	}
-	if out := RenderRTT(rows); !strings.Contains(out, "same zone") {
+	if out := renderRTT(rows); !strings.Contains(out, "same zone") {
 		t.Fatalf("render: %s", out)
 	}
 }
@@ -350,7 +350,7 @@ func TestArchitectureAblation(t *testing.T) {
 		t.Fatalf("multi-master write latency %.1f ms should exceed master-slave %.1f ms (ordering round trip)",
 			mm.WriteLatencyMs, ms.WriteLatencyMs)
 	}
-	if out := RenderArchitectures(rows); !strings.Contains(out, "multi-master") {
+	if out := renderArchitectures(rows); !strings.Contains(out, "multi-master") {
 		t.Fatalf("render: %s", out)
 	}
 }
@@ -380,22 +380,22 @@ func TestAblationRenderers(t *testing.T) {
 		{Mode: repl.Async, Loc: SameZone, Res: RunResult{Throughput: 14, WriteLatencyMsMean: 120, LatencyMsMean: 130, AvgDelayMs: 90}},
 		{Mode: repl.Sync, Loc: DiffRegion, Res: RunResult{Throughput: 9, WriteLatencyMsMean: 520, LatencyMsMean: 300, AvgDelayMs: 20}},
 	}
-	if out := RenderSyncModes(sync); !strings.Contains(out, "semi-sync waits") || !strings.Contains(out, "async") {
+	if out := renderSyncModes(sync); !strings.Contains(out, "semi-sync waits") || !strings.Contains(out, "async") {
 		t.Fatalf("sync render:\n%s", out)
 	}
 	bal := []BalancerResult{{Name: "round-robin", Res: RunResult{Throughput: 20, AvgDelayMs: 5000}}}
-	if out := RenderBalancers(bal); !strings.Contains(out, "round-robin") {
+	if out := renderBalancers(bal); !strings.Contains(out, "round-robin") {
 		t.Fatalf("balancer render:\n%s", out)
 	}
 	v := VariationResult{HomogeneousTp: 13.5, SampleTps: []float64{12, 14}, MeanTp: 13, CoV: 0.08, MinTp: 12, MaxTp: 14}
-	if out := RenderVariation(v); !strings.Contains(out, "homogeneous control") {
+	if out := renderVariation(v); !strings.Contains(out, "homogeneous control") {
 		t.Fatalf("variation render:\n%s", out)
 	}
 	pr := PriorityResult{
 		Normal:      RunResult{Throughput: 20, AvgDelayMs: 60000, LatencyMsMean: 250},
 		Prioritized: RunResult{Throughput: 19, AvgDelayMs: 200, LatencyMsMean: 280},
 	}
-	if out := RenderApplierPriority(pr); !strings.Contains(out, "FIFO (MySQL-like)") {
+	if out := renderApplierPriority(pr); !strings.Contains(out, "FIFO (MySQL-like)") {
 		t.Fatalf("priority render:\n%s", out)
 	}
 }
@@ -442,13 +442,13 @@ func TestPipelineResultAccessorsAndRender(t *testing.T) {
 	if got := r.Curve("full-pipeline", 4).loadedP95(); got != 400 {
 		t.Fatalf("full-pipeline loadedP95 = %v, want 400", got)
 	}
-	out := RenderPipeline(r)
+	out := renderPipeline(r)
 	for _, want := range []string{"A-PIPELINE", "baseline", "full-pipeline", ">150"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := json.Marshal(PipelineJSON(r)); err != nil {
-		t.Fatalf("PipelineJSON not marshalable: %v", err)
+	if _, err := json.Marshal(pipelineJSON(r)); err != nil {
+		t.Fatalf("pipelineJSON not marshalable: %v", err)
 	}
 }

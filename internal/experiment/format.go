@@ -5,18 +5,18 @@ import (
 	"strings"
 )
 
-// RenderThroughput renders a sweep as the paper's Fig. 2/Fig. 3 panels:
+// renderThroughput renders a sweep as the paper's Fig. 2/Fig. 3 panels:
 // one table per location, rows = workload (concurrent users), columns =
 // number of slaves, cells = end-to-end throughput in operations/second.
-func (sw *Sweep) RenderThroughput(title string) string {
+func (sw *Sweep) renderThroughput(title string) string {
 	return sw.render(title, "throughput (ops/s)", func(loc Location, slaves, users int) float64 {
 		return sw.Throughput(loc, slaves, users)
 	}, "%8.2f")
 }
 
-// RenderDelay renders a sweep as the paper's Fig. 5/Fig. 6 panels: average
+// renderDelay renders a sweep as the paper's Fig. 5/Fig. 6 panels: average
 // relative replication delay in milliseconds.
-func (sw *Sweep) RenderDelay(title string) string {
+func (sw *Sweep) renderDelay(title string) string {
 	return sw.render(title, "avg relative replication delay (ms)", func(loc Location, slaves, users int) float64 {
 		return sw.RelativeDelay(loc, slaves, users)
 	}, "%10.1f")
@@ -46,10 +46,10 @@ func (sw *Sweep) render(title, metric string, cell func(Location, int, int) floa
 	return b.String()
 }
 
-// RenderSaturation prints the saturation analysis of §IV-A: for every
+// renderSaturation prints the saturation analysis of §IV-A: for every
 // (location, slaves) pair, the observed maximum throughput and the
 // workload right after it.
-func (sw *Sweep) RenderSaturation(title string) string {
+func (sw *Sweep) renderSaturation(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — saturation points (workload right after the observed max throughput)\n\n", title)
 	for _, loc := range sw.Locs {
@@ -83,9 +83,9 @@ func (sw *Sweep) RenderSaturation(title string) string {
 	return b.String()
 }
 
-// CSVThroughput emits the sweep as CSV (figure, location, slaves, users,
+// csv emits the sweep as CSV (figure, location, slaves, users,
 // throughput, relative delay) for external plotting.
-func (sw *Sweep) CSV() string {
+func (sw *Sweep) csv() string {
 	var b strings.Builder
 	b.WriteString("location,slaves,users,throughput_ops,read_tp,write_tp,rel_delay_ms,raw_delay_ms,master_util,errors\n")
 	for _, loc := range sw.Locs {
@@ -101,8 +101,8 @@ func (sw *Sweep) CSV() string {
 	return b.String()
 }
 
-// RenderFig4 prints the clock experiment the way the paper reports it.
-func RenderFig4(once, everySecond ClockResult) string {
+// renderFig4 prints the clock experiment the way the paper reports it.
+func renderFig4(once, everySecond ClockResult) string {
 	var b strings.Builder
 	b.WriteString("Fig. 4 — measured time differences between two instances (20 min, 1 sample/s)\n\n")
 	for _, r := range []ClockResult{once, everySecond} {
@@ -123,8 +123,18 @@ func RenderFig4(once, everySecond ClockResult) string {
 	return b.String()
 }
 
-// RenderRTT prints the in-text half-RTT measurements (§IV-B.2).
-func RenderRTT(rows []RTTResult) string {
+// fig4CSV is the per-second sample timeline of both NTP regimes.
+func fig4CSV(once, everySecond ClockResult) string {
+	var b strings.Builder
+	b.WriteString("second,sync_once_ms,sync_every_second_ms\n")
+	for i := range once.SamplesM {
+		fmt.Fprintf(&b, "%d,%.3f,%.3f\n", i+1, once.SamplesM[i], everySecond.SamplesM[i])
+	}
+	return b.String()
+}
+
+// renderRTT prints the in-text half-RTT measurements (§IV-B.2).
+func renderRTT(rows []RTTResult) string {
 	var b strings.Builder
 	b.WriteString("T-RTT — 1/2 round-trip time from master (us-west-1a), ping 1/s for 20 min\n\n")
 	fmt.Fprintf(&b, "%-32s %10s %10s %10s %10s\n", "slave location", "mean (ms)", "median", "min", "max")

@@ -1,10 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"cloudrepl/internal/metrics"
@@ -61,9 +57,9 @@ func newRunRow(res RunResult) runRow {
 	}
 }
 
-// SweepJSON flattens a figure sweep (loaded points plus unloaded
+// sweepJSON flattens a figure sweep (loaded points plus unloaded
 // baselines, with the relative delay already computed per point).
-func SweepJSON(sw *Sweep) any {
+func sweepJSON(sw *Sweep) any {
 	type point struct {
 		runRow
 		RelativeDelayMs float64 `json:"relative_delay_ms"`
@@ -87,8 +83,8 @@ func SweepJSON(sw *Sweep) any {
 	}
 }
 
-// SyncModesJSON flattens A-SYNC.
-func SyncModesJSON(rows []SyncModeResult) any {
+// syncModesJSON flattens A-SYNC.
+func syncModesJSON(rows []SyncModeResult) any {
 	type row struct {
 		runRow
 		Mode string `json:"mode"`
@@ -100,8 +96,8 @@ func SyncModesJSON(rows []SyncModeResult) any {
 	return out
 }
 
-// BalancersJSON flattens A-LB.
-func BalancersJSON(rows []BalancerResult) any {
+// balancersJSON flattens A-LB.
+func balancersJSON(rows []BalancerResult) any {
 	type row struct {
 		runRow
 		Balancer        string `json:"balancer"`
@@ -114,8 +110,8 @@ func BalancersJSON(rows []BalancerResult) any {
 	return out
 }
 
-// VariationJSON flattens A-VAR.
-func VariationJSON(v VariationResult) any {
+// variationJSON flattens A-VAR.
+func variationJSON(v VariationResult) any {
 	return map[string]any{
 		"homogeneous_tp": v.HomogeneousTp,
 		"sample_tps":     v.SampleTps,
@@ -126,16 +122,16 @@ func VariationJSON(v VariationResult) any {
 	}
 }
 
-// PriorityJSON flattens A-PRIO.
-func PriorityJSON(r PriorityResult) any {
+// priorityJSON flattens A-PRIO.
+func priorityJSON(r PriorityResult) any {
 	return map[string]any{
 		"fifo":          newRunRow(r.Normal),
 		"high_priority": newRunRow(r.Prioritized),
 	}
 }
 
-// ArchitecturesJSON flattens A-ARCH.
-func ArchitecturesJSON(rows []ArchResult) any {
+// architecturesJSON flattens A-ARCH.
+func architecturesJSON(rows []ArchResult) any {
 	type row struct {
 		Arch           string  `json:"arch"`
 		ThroughputOps  float64 `json:"throughput_ops"`
@@ -149,8 +145,8 @@ func ArchitecturesJSON(rows []ArchResult) any {
 	return out
 }
 
-// ChaosJSON flattens A-CHAOS.
-func ChaosJSON(r ChaosResult) any {
+// chaosJSON flattens A-CHAOS.
+func chaosJSON(r ChaosResult) any {
 	row := func(sc ChaosScenario) map[string]any {
 		return map[string]any{
 			"scenario":       sc.Name,
@@ -171,8 +167,8 @@ func ChaosJSON(r ChaosResult) any {
 	}
 }
 
-// Fig4JSON flattens the clock-synchronization traces.
-func Fig4JSON(once, everySecond ClockResult) any {
+// fig4JSON flattens the clock-synchronization traces.
+func fig4JSON(once, everySecond ClockResult) any {
 	row := func(c ClockResult) map[string]any {
 		return map[string]any{
 			"label":      c.Label,
@@ -184,8 +180,8 @@ func Fig4JSON(once, everySecond ClockResult) any {
 	return []any{row(once), row(everySecond)}
 }
 
-// RTTJSON flattens the half-RTT table.
-func RTTJSON(rows []RTTResult) any {
+// rttJSON flattens the half-RTT table.
+func rttJSON(rows []RTTResult) any {
 	type row struct {
 		Loc       string  `json:"loc"`
 		HalfRTTMs float64 `json:"half_rtt_ms"`
@@ -217,8 +213,8 @@ func seriesJSON(ts *metrics.TimeSeries) any {
 	return out
 }
 
-// ElasticJSON flattens A-ELASTIC, decision logs and fleet series included.
-func ElasticJSON(r ElasticResult) any {
+// elasticJSON flattens A-ELASTIC, decision logs and fleet series included.
+func elasticJSON(r ElasticResult) any {
 	type stage struct {
 		Users  int     `json:"users"`
 		DurSec float64 `json:"dur_sec"`
@@ -265,9 +261,9 @@ func ElasticJSON(r ElasticResult) any {
 	}
 }
 
-// PipelineJSON flattens A-PIPELINE: one object per variant × slave-count
+// pipelineJSON flattens A-PIPELINE: one object per variant × slave-count
 // curve with its knee, unloaded baseline, and per-point p95 tail delays.
-func PipelineJSON(r PipelineResult) any {
+func pipelineJSON(r PipelineResult) any {
 	type point struct {
 		runRow
 		P95DelayMs float64 `json:"p95_delay_ms"`
@@ -299,18 +295,4 @@ func PipelineJSON(r PipelineResult) any {
 		"users":  r.UserNums,
 		"curves": curves,
 	}
-}
-
-// WriteJSON marshals v (indented, trailing newline) into
-// <dir>/BENCH_<name>.json, creating dir as needed.
-func WriteJSON(dir, name string, v any) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiment: marshal %s: %w", name, err)
-	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

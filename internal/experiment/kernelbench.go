@@ -25,7 +25,8 @@ type KernelMeasure struct {
 // KernelBenchResult is the BENCH_kernel.json payload: the raw speed of the
 // simulation kernel, tracked PR-over-PR so scheduler and allocation
 // regressions surface immediately (`make bench-kernel` gates on
-// micro.ns_per_event against the checked-in bench/kernel_baseline.json).
+// micro.ns_per_event and cell.allocs_per_event against the checked-in
+// bench/kernel_baseline.json).
 type KernelBenchResult struct {
 	// Micro is a pure-kernel workload — timers, signal waits with
 	// timeouts, cross-proc message delivery — with no SQL or middleware on
@@ -35,8 +36,9 @@ type KernelBenchResult struct {
 	// kernel cost with the full model stack (proxy→pool→server→binlog)
 	// running on top of it.
 	Cell KernelMeasure `json:"cell"`
-	// FiguresWallMs is the wall-clock of the surrounding figure/ablation
-	// sweep when the bench rode along with -all; 0 for standalone runs.
+	// FiguresWallMs is the summed wall-clock of the bench sections that ran
+	// before this one in the same invocation (the figure/ablation sweep
+	// under -all); exactly 0 for a standalone run.
 	FiguresWallMs float64 `json:"figures_wall_ms"`
 }
 
@@ -121,8 +123,8 @@ func kernelMicroWorkload(seed int64) uint64 {
 }
 
 // KernelBench measures the simulation kernel's raw speed: a pure-kernel
-// micro-workload and one full experiment cell. figuresWall, when nonzero,
-// records the wall-clock of the sweep the bench rode along with.
+// micro-workload and one full experiment cell. figuresWall is recorded as
+// FiguresWallMs.
 func KernelBench(opts SweepOpts, figuresWall time.Duration) (KernelBenchResult, error) {
 	res := KernelBenchResult{
 		FiguresWallMs: float64(figuresWall.Nanoseconds()) / 1e6,
@@ -143,14 +145,11 @@ func KernelBench(opts SweepOpts, figuresWall time.Duration) (KernelBenchResult, 
 		}
 		return r.KernelEvents
 	})
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
-// RenderKernelBench formats BENCH_kernel for the console.
-func RenderKernelBench(r KernelBenchResult) string {
+// renderKernelBench formats BENCH_kernel for the console.
+func renderKernelBench(r KernelBenchResult) string {
 	var b strings.Builder
 	b.WriteString("BENCH-KERNEL — simulation kernel speed\n\n")
 	fmt.Fprintf(&b, "%-28s %14s %12s %12s %14s\n",
@@ -168,9 +167,11 @@ func RenderKernelBench(r KernelBenchResult) string {
 }
 
 // CheckKernelBaseline compares a fresh kernel bench against the checked-in
-// baseline and fails when the micro workload's ns/event has regressed more
-// than 20%. The micro number gates (it is the least noisy on shared CI
-// hardware); the cell number is informational.
+// baseline. It fails when the micro workload's ns/event has regressed more
+// than 20% — the micro number is the least noisy wall-clock figure on
+// shared CI hardware — or when the cell workload's allocs/event has grown
+// more than 2%: allocations per event are deterministic, so the cell is
+// gated on them, not on its noisy ns/event.
 func CheckKernelBaseline(path string, cur KernelBenchResult) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -180,37 +181,48 @@ func CheckKernelBaseline(path string, cur KernelBenchResult) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("kernel baseline %s: %w", path, err)
 	}
-	if base.Micro.NsPerEvent <= 0 {
-		return fmt.Errorf("kernel baseline %s: micro.ns_per_event missing or zero", path)
+	gates := []struct {
+		field     string
+		cur, base float64
+		tolerance float64
+	}{
+		{"micro.ns_per_event", cur.Micro.NsPerEvent, base.Micro.NsPerEvent, 0.20},
+		{"cell.allocs_per_event", cur.Cell.AllocsPerEvent, base.Cell.AllocsPerEvent, 0.02},
 	}
-	limit := base.Micro.NsPerEvent * 1.20
-	if cur.Micro.NsPerEvent > limit {
-		return fmt.Errorf("kernel regression: micro ns/event %.1f exceeds baseline %.1f by more than 20%% (limit %.1f); if intentional, refresh %s",
-			cur.Micro.NsPerEvent, base.Micro.NsPerEvent, limit, path)
+	for _, g := range gates {
+		if g.base <= 0 {
+			return fmt.Errorf("kernel baseline %s: %s missing or zero", path, g.field)
+		}
+		if limit := g.base * (1 + g.tolerance); g.cur > limit {
+			return fmt.Errorf("kernel regression: %s %.3f exceeds baseline %.3f by more than %.0f%% (limit %.3f); if intentional, refresh %s",
+				g.field, g.cur, g.base, 100*g.tolerance, limit, path)
+		}
 	}
 	return nil
 }
 
-// KernelDeterminism is the sharded-runner arm of the determinism
-// sanitizer: the same small spec grid through RunShards twice — once
-// serial, once at full parallelism — byte-comparing the merged JSON. Any
-// cross-worker state leak or completion-order dependence shows up as a
-// byte difference.
-func KernelDeterminism(opts SweepOpts) error {
-	ramp, steady, down := opts.phases()
-	var specs []RunSpec
-	for i := 0; i < 4; i++ {
-		specs = append(specs, RunSpec{
-			Seed: opts.Seed + int64(i), Users: 50 + 25*i, Slaves: 1 + i%2,
-			Scale: 300, ReadRatio: 0.5, Loc: SameZone,
-			RampUp: ramp, Steady: steady, RampDown: down,
-		})
-	}
-	parallelism := []int{1, 0} // serial first, then GOMAXPROCS
-	call := 0
-	return CheckDeterminism("KERNEL-SHARDS", func() (any, error) {
-		par := parallelism[call%len(parallelism)]
-		call++
+// kernelShardsArm returns the KERNEL-SHARDS determinism arm: the same
+// small spec grid through RunShards, serial on its first call and at full
+// parallelism on its second, so the check byte-compares the two merged
+// results. Any cross-worker state leak or completion-order dependence shows
+// up as a byte difference.
+func kernelShardsArm() func(SweepOpts) (any, error) {
+	calls := 0
+	return func(opts SweepOpts) (any, error) {
+		ramp, steady, down := opts.phases()
+		var specs []RunSpec
+		for i := 0; i < 4; i++ {
+			specs = append(specs, RunSpec{
+				Seed: opts.Seed + int64(i), Users: 50 + 25*i, Slaves: 1 + i%2,
+				Scale: 300, ReadRatio: 0.5, Loc: SameZone,
+				RampUp: ramp, Steady: steady, RampDown: down,
+			})
+		}
+		par := 1 // serial first, then GOMAXPROCS
+		if calls%2 == 1 {
+			par = 0
+		}
+		calls++
 		results, err := RunShards(specs, par, nil)
 		if err != nil {
 			return nil, err
@@ -220,5 +232,5 @@ func KernelDeterminism(opts SweepOpts) error {
 			rows[i] = newRunRow(r)
 		}
 		return rows, nil
-	})
+	}
 }

@@ -118,11 +118,9 @@ func ablationPipelineGrid(opts SweepOpts, variants []PipelineVariant, slaveNums,
 		specs[i] = j.spec
 	}
 	results, err := RunShards(specs, opts.Parallelism, func(i int, res RunResult) {
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("pipeline %-14s slaves=%d users=%-3d tp=%6.2f ops/s delay=%8.1f ms p95=%8.1f ms",
-				out.Curves[jobs[i].curve].Variant, jobs[i].spec.Slaves, jobs[i].spec.Users,
-				res.Throughput, res.AvgDelayMs, res.P95DelayMs))
-		}
+		opts.progressf("pipeline %-14s slaves=%d users=%-3d tp=%6.2f ops/s delay=%8.1f ms p95=%8.1f ms",
+			out.Curves[jobs[i].curve].Variant, jobs[i].spec.Slaves, jobs[i].spec.Users,
+			res.Throughput, res.AvgDelayMs, res.P95DelayMs)
 	})
 	if err != nil {
 		return out, err
@@ -181,8 +179,8 @@ func (c *PipelineCurve) loadedP95() float64 {
 	return worst
 }
 
-// RenderPipeline formats A-PIPELINE.
-func RenderPipeline(r PipelineResult) string {
+// renderPipeline formats A-PIPELINE.
+func renderPipeline(r PipelineResult) string {
 	var b strings.Builder
 	b.WriteString("A-PIPELINE — replication data path (same zone, 50/50, scale 300)\n")
 	b.WriteString("variants: baseline | batch (32 entries/64 KiB) | parallel-apply (4 workers) | full-pipeline (+60 ms group commit)\n\n")

@@ -76,11 +76,8 @@ func AblationPlan(opts SweepOpts) (PlanResult, error) {
 			return out, err
 		}
 		out.Arms = append(out.Arms, arm)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf(
-				"plan %-10s %4d users  tp=%7.2f ops/s  lat=%7.1f ms  feed-cost=%8.0f rows  err=%d",
-				arm.Planner, arm.Users, arm.Throughput, arm.LatencyMsMean, arm.FeedCost, arm.Errors))
-		}
+		opts.progressf("plan %-10s %4d users  tp=%7.2f ops/s  lat=%7.1f ms  feed-cost=%8.0f rows  err=%d",
+			arm.Planner, arm.Users, arm.Throughput, arm.LatencyMsMean, arm.FeedCost, arm.Errors)
 	}
 	return out, nil
 }
@@ -147,26 +144,20 @@ func planDecisionLog(seed int64, scale int, naive bool) (string, float64, error)
 	return p.Explain(), p.Cost(), nil
 }
 
-// PlanDeterminism runs the cost-based arm (the stateful planner: statistics
-// refresh, plan cache, epoch invalidation) twice from one seed and fails on
-// any byte difference in the marshalled result — the EXPLAIN decision log
-// included, since a drifting plan choice must surface as a byte diff.
-func PlanDeterminism(opts SweepOpts) error {
+// planArm is the A-PLAN determinism arm: the cost-based arm, the stateful
+// planner (statistics refresh, plan cache, epoch invalidation). The EXPLAIN
+// decision log is part of the result, so a drifting plan choice surfaces as
+// a byte diff.
+func planArm(opts SweepOpts) (any, error) {
 	g := defaultPlanGrid()
 	if opts.Short {
 		g.users = 75
 	}
-	return CheckDeterminism("A-PLAN", func() (any, error) {
-		arm, err := runPlanArm(opts, g, false)
-		if err != nil {
-			return nil, err
-		}
-		return arm, nil
-	})
+	return runPlanArm(opts, g, false)
 }
 
-// RenderPlan formats the A-PLAN ablation for the terminal.
-func RenderPlan(r PlanResult) string {
+// renderPlan formats the A-PLAN ablation for the terminal.
+func renderPlan(r PlanResult) string {
 	var b strings.Builder
 	b.WriteString("A-PLAN — cost-based planner vs naive (syntax-order) planning\n")
 	fmt.Fprintf(&b, "%d users, %d slaves, data size %d, %.0f/%.0f read/write mix, same-zone async replication\n\n",
@@ -192,8 +183,8 @@ func RenderPlan(r PlanResult) string {
 	return b.String()
 }
 
-// PlanJSON shapes the ablation for BENCH_plan.json.
-func PlanJSON(r PlanResult) any {
+// planJSON shapes the ablation for BENCH_plan.json.
+func planJSON(r PlanResult) any {
 	type arm struct {
 		Planner         string  `json:"planner"`
 		Throughput      float64 `json:"throughput_ops_s"`

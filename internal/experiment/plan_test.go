@@ -35,13 +35,13 @@ func TestAblationPlanCostBeatsNaive(t *testing.T) {
 	if !strings.Contains(naive.FeedPlan, "scan a") {
 		t.Fatalf("naive plan does not scan attendance:\n%s", naive.FeedPlan)
 	}
-	out := RenderPlan(r)
+	out := renderPlan(r)
 	for _, want := range []string{"A-PLAN", "cost-based", "naive", "inl_join"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := json.Marshal(PlanJSON(r)); err != nil {
-		t.Fatalf("PlanJSON not marshalable: %v", err)
+	if _, err := json.Marshal(planJSON(r)); err != nil {
+		t.Fatalf("planJSON not marshalable: %v", err)
 	}
 }

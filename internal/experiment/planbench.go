@@ -201,8 +201,8 @@ func PlanBench() (PlanBenchResult, error) {
 	return res, nil
 }
 
-// RenderPlanBench formats BENCH_planner for the console.
-func RenderPlanBench(r PlanBenchResult) string {
+// renderPlanBench formats BENCH_planner for the console.
+func renderPlanBench(r PlanBenchResult) string {
 	var b strings.Builder
 	b.WriteString("BENCH-PLANNER — executor speed by query shape\n\n")
 	fmt.Fprintf(&b, "%-16s %9s %14s %12s %12s %14s\n",
@@ -232,28 +232,23 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("planner baseline %s: %w", path, err)
 	}
-	check := func(shape string, curRate, baseRate float64) error {
-		if baseRate <= 0 {
-			return fmt.Errorf("planner baseline %s: %s rate missing or zero", path, shape)
+	gates := []struct {
+		shape             string
+		curRate, baseRate float64
+	}{
+		{"point_read ops", cur.PointRead.OpsPerSec, base.PointRead.OpsPerSec},
+		{"index_scan rows", cur.IndexScan.RowsPerSec, base.IndexScan.RowsPerSec},
+		{"hash_join rows", cur.HashJoin.RowsPerSec, base.HashJoin.RowsPerSec},
+		{"group_agg rows", cur.GroupAgg.RowsPerSec, base.GroupAgg.RowsPerSec},
+	}
+	for _, g := range gates {
+		if g.baseRate <= 0 {
+			return fmt.Errorf("planner baseline %s: %s rate missing or zero", path, g.shape)
 		}
-		limit := baseRate / 1.20
-		if curRate < limit {
+		if limit := g.baseRate / 1.20; g.curRate < limit {
 			return fmt.Errorf("planner regression: %s %.0f/sec is more than 20%% below baseline %.0f/sec (limit %.0f); if intentional, refresh %s",
-				shape, curRate, baseRate, limit, path)
+				g.shape, g.curRate, g.baseRate, limit, path)
 		}
-		return nil
-	}
-	if err := check("point_read ops", cur.PointRead.OpsPerSec, base.PointRead.OpsPerSec); err != nil {
-		return err
-	}
-	if err := check("index_scan rows", cur.IndexScan.RowsPerSec, base.IndexScan.RowsPerSec); err != nil {
-		return err
-	}
-	if err := check("hash_join rows", cur.HashJoin.RowsPerSec, base.HashJoin.RowsPerSec); err != nil {
-		return err
-	}
-	if err := check("group_agg rows", cur.GroupAgg.RowsPerSec, base.GroupAgg.RowsPerSec); err != nil {
-		return err
 	}
 	return nil
 }

@@ -26,6 +26,13 @@ func (o SweepOpts) phases() (ramp, steady, down time.Duration) {
 	return 10 * time.Minute, 20 * time.Minute, 5 * time.Minute
 }
 
+// progressf formats one progress line when Progress is set.
+func (o SweepOpts) progressf(format string, args ...any) {
+	if o.Progress != nil {
+		o.Progress(fmt.Sprintf(format, args...))
+	}
+}
+
 // Key identifies a sweep point.
 type Key struct {
 	Loc    Location
@@ -100,10 +107,8 @@ func (sw *Sweep) Run() error {
 	}
 
 	results, err := RunShards(specs, sw.Opts.Parallelism, func(i int, res RunResult) {
-		if sw.Opts.Progress != nil {
-			sw.Opts.Progress(fmt.Sprintf("%-28s slaves=%-2d users=%-3d tp=%6.2f ops/s delay=%9.1f ms",
-				specs[i].Loc, specs[i].Slaves, specs[i].Users, res.Throughput, res.AvgDelayMs))
-		}
+		sw.Opts.progressf("%-28s slaves=%-2d users=%-3d tp=%6.2f ops/s delay=%9.1f ms",
+			specs[i].Loc, specs[i].Slaves, specs[i].Users, res.Throughput, res.AvgDelayMs)
 	})
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)

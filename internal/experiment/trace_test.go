@@ -8,25 +8,33 @@ import (
 	"cloudrepl/internal/obs"
 )
 
-// TestTraceDeterminism runs the traced pipeline point twice with one seed
-// and byte-compares the exported trace files — the -trace acceptance
-// criterion: span IDs, timestamps and ordering must be identical run to
-// run. The metrics snapshots must agree too.
+// TestTraceDeterminism runs the registry's A-TRACE arm — the traced
+// pipeline point — twice with one seed. The check byte-compares the JSON of
+// trace and metrics snapshot together; on top of that the exported trace
+// files themselves must be byte-identical (the -trace acceptance criterion:
+// span IDs, timestamps and ordering identical run to run), non-empty, and
+// the metrics snapshots must agree key by key.
 func TestTraceDeterminism(t *testing.T) {
+	arm := registryArm(t, "A-TRACE")
 	opts := SweepOpts{Seed: 5}
-	r1, err := TraceRun(opts)
+	var runs []tracePayload
+	err := CheckDeterminism(arm.Name, func() (any, error) {
+		v, err := arm.Run(opts)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, v.(tracePayload))
+		return v, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TraceRun(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.TraceJSON) == 0 {
+	r1, r2 := runs[0], runs[1]
+	if len(r1.Trace) == 0 {
 		t.Fatal("traced run produced no trace")
 	}
-	if !bytes.Equal(r1.TraceJSON, r2.TraceJSON) {
-		t.Fatalf("same-seed trace files differ\n%s", firstDivergence(r1.TraceJSON, r2.TraceJSON))
+	if !bytes.Equal(r1.Trace, r2.Trace) {
+		t.Fatalf("same-seed trace files differ\n%s", firstDivergence(r1.Trace, r2.Trace))
 	}
 
 	var keys []string
