@@ -277,11 +277,11 @@ func TestOpsUseParameters(t *testing.T) {
 	rng := sim.NewEnv(1).Rand()
 	for i := 0; i < 100; i++ {
 		for _, o := range []op{d.readOp(rng), d.writeOp(rng)} {
-			stmt, err := sqlengine.Parse(o.sql)
+			stmt, err := sqlengine.NewEngine().Prepare(o.sql)
 			if err != nil {
 				t.Fatalf("%s: %v", o.name, err)
 			}
-			if _, err := sqlengine.Bind(stmt, o.args); err != nil {
+			if _, err := stmt.Render(o.args...); err != nil {
 				t.Fatalf("%s: %v", o.name, err)
 			}
 		}

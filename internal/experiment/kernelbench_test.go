@@ -78,6 +78,7 @@ func TestCheckPlanBaseline(t *testing.T) {
 	base := PlanBenchResult{
 		PointRead: m(400000, 400000), IndexScan: m(50000, 4e6),
 		HashJoin: m(50, 4e5), GroupAgg: m(500, 2e6),
+		Apply: PlanBenchMeasure{OpsPerSec: 3e5, AllocsPerOp: 15},
 	}
 	path := writeBaseline(t, base)
 
@@ -104,5 +105,23 @@ func TestCheckPlanBaseline(t *testing.T) {
 	noJoin.HashJoin = PlanBenchMeasure{}
 	if err := CheckPlanBaseline(writeBaseline(t, noJoin), base); err == nil || !strings.Contains(err.Error(), "missing or zero") {
 		t.Fatalf("baseline without hash_join rate: %v", err)
+	}
+
+	// The applier is gated on allocations per statement (2%), not on its
+	// statements/s.
+	slowApply := base
+	slowApply.Apply = PlanBenchMeasure{OpsPerSec: 1e4, AllocsPerOp: 15.2}
+	if err := CheckPlanBaseline(path, slowApply); err != nil {
+		t.Fatalf("apply within 2%% allocs, slower rate: %v", err)
+	}
+	allocApply := base
+	allocApply.Apply = PlanBenchMeasure{OpsPerSec: 3e5, AllocsPerOp: 15.4}
+	if err := CheckPlanBaseline(path, allocApply); err == nil || !strings.Contains(err.Error(), "apply allocs_per_op") {
+		t.Fatalf("apply allocs/statement +2.7%%: %v", err)
+	}
+	noApply := base
+	noApply.Apply = PlanBenchMeasure{}
+	if err := CheckPlanBaseline(writeBaseline(t, noApply), base); err == nil || !strings.Contains(err.Error(), "apply allocs_per_op missing") {
+		t.Fatalf("baseline without apply allocs: %v", err)
 	}
 }

@@ -8,6 +8,14 @@ import (
 	"strings"
 	"time"
 
+	"cloudrepl/internal/binlog"
+	"cloudrepl/internal/cloud"
+	"cloudrepl/internal/cloudstone"
+	"cloudrepl/internal/cluster"
+	"cloudrepl/internal/core"
+	"cloudrepl/internal/heartbeat"
+	"cloudrepl/internal/server"
+	"cloudrepl/internal/sim"
 	"cloudrepl/internal/sqlengine"
 )
 
@@ -24,9 +32,11 @@ type PlanBenchMeasure struct {
 }
 
 // PlanBenchResult is the BENCH_planner.json payload: the executor's speed on
-// the four query shapes the planner work rebuilt — tracked PR-over-PR so
-// operator-tree regressions surface immediately (`make bench-plan` gates
-// rows/sec against the checked-in bench/planner_baseline.json).
+// the four query shapes the planner work rebuilt, and the replica applier's
+// — tracked PR-over-PR so operator-tree and apply-path regressions surface
+// immediately (`make bench-plan` gates rows/sec and the applier's
+// allocations per statement against the checked-in
+// bench/planner_baseline.json).
 type PlanBenchResult struct {
 	// PointRead is a unique-key lookup: plan-cache hit + one index probe,
 	// the executor's minimum per-statement overhead.
@@ -38,6 +48,11 @@ type PlanBenchResult struct {
 	HashJoin PlanBenchMeasure `json:"hash_join"`
 	// GroupAgg is a grouped COUNT over the full table.
 	GroupAgg PlanBenchMeasure `json:"group_agg"`
+	// Apply replays a recorded Cloudstone write binlog into a fresh engine
+	// through the replica apply entry point (Session.ExecUncached): one op
+	// is one replicated statement, so ops_per_sec is statements/s and
+	// allocs_per_op allocations per statement.
+	Apply PlanBenchMeasure `json:"apply"`
 }
 
 // planBenchRows is the benchmark table size, small enough that the whole
@@ -58,7 +73,7 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 		"CREATE TABLE lines (id BIGINT PRIMARY KEY, ref BIGINT, qty BIGINT)",
 	}
 	for _, q := range ddl {
-		if _, err := sess.Exec(q); err != nil {
+		if _, err := sess.ExecUncached(q); err != nil {
 			return nil, nil, fmt.Errorf("planbench: %s: %w", q, err)
 		}
 	}
@@ -90,53 +105,159 @@ func planBenchDB() (*sqlengine.Engine, *sqlengine.Session, error) {
 // measurePlanBench runs one prepared query shape for iters iterations and
 // derives the rates. One untimed warm-up execution populates the plan cache
 // and refreshes statistics, so the loop measures steady-state execution.
-// The timed loop repeats three times and the fastest repetition is reported:
-// wall-clock noise (GC pauses, scheduler preemption) is one-sided, so
-// best-of-N is what makes a 20% regression gate hold on shared hardware.
-// Allocations are averaged over every repetition — they are deterministic.
 func measurePlanBench(sess *sqlengine.Session, st *sqlengine.Statement, iters int,
 	args func(i int) []sqlengine.Value) (PlanBenchMeasure, error) {
 	if _, err := st.Run(sess, args(0)...); err != nil {
 		return PlanBenchMeasure{}, err
 	}
-	const reps = 3
-	var rows uint64
-	var best time.Duration
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for r := 0; r < reps; r++ {
-		rows = 0
-		//cloudrepl:allow-simtime the planner bench measures real elapsed wall time per statement
-		start := time.Now()
+	return measureOps(iters, nil, func() (uint64, error) {
+		var rows uint64
 		for i := 0; i < iters; i++ {
 			res, err := st.Run(sess, args(i)...)
 			if err != nil {
-				return PlanBenchMeasure{}, err
+				return 0, err
 			}
 			rows += uint64(res.Stats.RowsExamined)
 		}
+		return rows, nil
+	})
+}
+
+// measureOps times run, which performs ops operations and returns the rows
+// they examined, and derives the rates. setup, when non-nil, prepares each
+// repetition outside the measurement. The timed run repeats three times and
+// the fastest repetition is reported: wall-clock noise (GC pauses,
+// scheduler preemption) is one-sided, so best-of-N is what makes a 20%
+// regression gate hold on shared hardware. Allocations are averaged over
+// every repetition — they are deterministic.
+func measureOps(ops int, setup func() error, run func() (uint64, error)) (PlanBenchMeasure, error) {
+	const reps = 3
+	var rows, mallocs uint64
+	var best time.Duration
+	for r := 0; r < reps; r++ {
+		if setup != nil {
+			if err := setup(); err != nil {
+				return PlanBenchMeasure{}, err
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		//cloudrepl:allow-simtime the planner bench measures real elapsed wall time per statement
+		start := time.Now()
+		n, err := run()
 		//cloudrepl:allow-simtime the planner bench measures real elapsed wall time per statement
 		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return PlanBenchMeasure{}, err
+		}
+		rows = n
+		mallocs += after.Mallocs - before.Mallocs
 		if r == 0 || wall < best {
 			best = wall
 		}
 	}
-	runtime.ReadMemStats(&after)
 
 	m := PlanBenchMeasure{
-		Ops:          uint64(iters),
+		Ops:          uint64(ops),
 		RowsExamined: rows,
 		WallMs:       float64(best.Nanoseconds()) / 1e6,
 	}
-	if iters > 0 {
-		m.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(reps*iters)
+	if ops > 0 {
+		m.AllocsPerOp = float64(mallocs) / float64(reps*ops)
 	}
 	if best > 0 {
-		m.OpsPerSec = float64(iters) / best.Seconds()
+		m.OpsPerSec = float64(ops) / best.Seconds()
 		m.RowsPerSec = float64(rows) / best.Seconds()
 	}
 	return m, nil
+}
+
+// applyBenchUsers sizes the Cloudstone load whose binlog the applier bench
+// replays: on the short protocol at 20/80 reads/writes it records a few
+// thousand writes of every driver shape, plus heartbeats.
+const applyBenchUsers = 60
+
+// recordWriteBinlog runs a short 20/80 Cloudstone load with heartbeats on a
+// master without replicas and returns the master's statement binlog; its
+// first preloaded entries are the schema and the data preload.
+func recordWriteBinlog() (entries []binlog.Entry, preloaded int, err error) {
+	env := sim.NewEnv(1)
+	cfg := cloud.DefaultConfig()
+	cfg.CPUCoV = 0
+	clu, err := cluster.New(env, cloud.New(env, cfg), cluster.Config{
+		Cost:   server.DefaultCostModel(),
+		Master: cluster.NodeSpec{Place: MasterPlacement},
+		Preload: func(srv *server.DBServer) error {
+			if err := cloudstone.Preload(300)(srv); err != nil {
+				return err
+			}
+			return heartbeat.Preload(srv)
+		},
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	log := clu.Master().Srv.Log
+	preloaded = int(log.LastSeq())
+	db := core.Open(clu, core.WithDatabase(cloudstone.DatabaseName), core.WithClientPlace(MasterPlacement))
+	hb := heartbeat.Start(env, clu.Master(), time.Second)
+	ramp, steady, down := SweepOpts{Short: true}.phases()
+	cloudstone.NewDriver(db, cloudstone.Config{
+		Scale: 300, ReadRatio: 0.2, Users: applyBenchUsers,
+		RampUp: ramp, Steady: steady, RampDown: down,
+	}).Start(env)
+	env.RunUntil(env.Now() + ramp + steady + down)
+	hb.Stop()
+	env.Stop()
+	env.Shutdown()
+	for seq := uint64(1); seq <= log.LastSeq(); seq++ {
+		e, err := log.At(seq)
+		if err != nil {
+			return nil, 0, err
+		}
+		entries = append(entries, e)
+	}
+	return entries, preloaded, nil
+}
+
+// applyEntries re-executes binlog entries on a replica session the way the
+// slave SQL thread does (server.DBServer.Apply) and returns the rows they
+// examined.
+func applyEntries(sess *sqlengine.Session, entries []binlog.Entry) (uint64, error) {
+	var rows uint64
+	for _, e := range entries {
+		if e.Database != "" && sess.DB() != e.Database {
+			if err := sess.Use(e.Database); err != nil {
+				return 0, err
+			}
+		}
+		res, err := sess.ExecUncached(e.SQL)
+		if err != nil {
+			return 0, fmt.Errorf("apply %q: %w", e.SQL, err)
+		}
+		rows += uint64(res.Stats.RowsExamined)
+	}
+	return rows, nil
+}
+
+// measureApply times the replay of a recorded binlog's run-phase writes:
+// each repetition starts from a fresh engine brought to the post-preload
+// state by an untimed replay of the preload entries.
+func measureApply() (PlanBenchMeasure, error) {
+	entries, preloaded, err := recordWriteBinlog()
+	if err != nil {
+		return PlanBenchMeasure{}, err
+	}
+	var sess *sqlengine.Session
+	return measureOps(len(entries)-preloaded, func() error {
+		sess = sqlengine.NewEngine().NewSession("")
+		_, err := applyEntries(sess, entries[:preloaded])
+		return err
+	}, func() (uint64, error) {
+		return applyEntries(sess, entries[preloaded:])
+	})
 }
 
 // PlanBench measures executor speed on the four query shapes. The hash-join
@@ -198,6 +319,11 @@ func PlanBench() (PlanBenchResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("planbench group agg: %w", err)
 	}
+
+	res.Apply, err = measureApply()
+	if err != nil {
+		return res, fmt.Errorf("planbench apply: %w", err)
+	}
 	return res, nil
 }
 
@@ -215,14 +341,18 @@ func renderPlanBench(r PlanBenchResult) string {
 	row("index scan", r.IndexScan)
 	row("hash join", r.HashJoin)
 	row("group aggregate", r.GroupAgg)
+	row("replica apply", r.Apply)
 	return b.String()
 }
 
 // CheckPlanBaseline compares a fresh planner bench against the checked-in
-// baseline and fails when any shape's rows/sec has regressed more than 20%
-// (point read gates ops/sec instead — it examines one row per statement, so
-// per-statement overhead is what it exists to catch). Refresh deliberately
-// with: cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
+// baseline and fails when any query shape's rows/sec has regressed more than
+// 20% (point read gates ops/sec instead — it examines one row per statement,
+// so per-statement overhead is what it exists to catch), or when the
+// applier's allocations per statement exceed the baseline by more than 2%:
+// they are deterministic, so the applier is gated on them rather than on its
+// noisy statements/s. Refresh deliberately with:
+// cp <jsondir>/BENCH_planner.json bench/planner_baseline.json
 func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -249,6 +379,13 @@ func CheckPlanBaseline(path string, cur PlanBenchResult) error {
 			return fmt.Errorf("planner regression: %s %.0f/sec is more than 20%% below baseline %.0f/sec (limit %.0f); if intentional, refresh %s",
 				g.shape, g.curRate, g.baseRate, limit, path)
 		}
+	}
+	if base.Apply.AllocsPerOp <= 0 {
+		return fmt.Errorf("planner baseline %s: apply allocs_per_op missing or zero", path)
+	}
+	if limit := base.Apply.AllocsPerOp * 1.02; cur.Apply.AllocsPerOp > limit {
+		return fmt.Errorf("planner regression: apply allocs_per_op %.2f exceeds baseline %.2f by more than 2%% (limit %.2f); if intentional, refresh %s",
+			cur.Apply.AllocsPerOp, base.Apply.AllocsPerOp, limit, path)
 	}
 	return nil
 }

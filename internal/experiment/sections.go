@@ -121,7 +121,7 @@ func Sections() []Section {
 		},
 		{
 			Flag: "bench-plan", Names: []string{"planner"}, File: "planner",
-			Banner: "planner bench: executor speed by query shape (point read, index scan, hash join, group agg)",
+			Banner: "planner bench: executor speed by query shape (point read, index scan, hash join, group agg) and replica apply",
 			Run: func(SweepOpts, time.Duration) (Output, error) {
 				r, err := PlanBench()
 				if err != nil {

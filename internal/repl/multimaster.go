@@ -89,11 +89,11 @@ func NewMultiMaster(env *sim.Env, net *cloud.Network, servers []*server.DBServer
 
 func (n *MMNode) apply(p *sim.Proc, sess *sqlengine.Session, e mmEvent) error {
 	if e.Database != "" && sess.DB() != e.Database {
-		if _, err := sess.Exec("USE " + e.Database); err != nil {
+		if err := sess.Use(e.Database); err != nil {
 			return err
 		}
 	}
-	res, err := sess.Exec(e.SQL)
+	res, err := sess.ExecUncached(e.SQL)
 	if err != nil {
 		return err
 	}
@@ -107,21 +107,19 @@ func (mm *MultiMaster) Nodes() []*MMNode { return mm.nodes }
 // Node returns member i.
 func (mm *MultiMaster) Node(i int) *MMNode { return mm.nodes[i] }
 
-// ExecWrite executes a write on this node: the statement is bound locally,
-// shipped to the total-order sequencer (one network leg), broadcast to
-// every node in sequence order, and the call returns once this node has
-// applied it — read-your-writes for local clients, the certification-style
-// commit rule.
+// ExecWrite executes a write on this node: the statement is rendered with
+// its args locally, shipped to the total-order sequencer (one network leg),
+// broadcast to every node in sequence order, and the call returns once this
+// node has applied it — read-your-writes for local clients, the
+// certification-style commit rule.
 func (n *MMNode) ExecWrite(p *sim.Proc, db, sql string, args ...sqlengine.Value) error {
-	stmt, err := sqlengine.Parse(sql)
+	stmt, err := n.Srv.Eng.Prepare(sql)
 	if err != nil {
 		return err
 	}
-	bound := stmt
-	if len(args) > 0 {
-		if bound, err = sqlengine.Bind(stmt, args); err != nil {
-			return err
-		}
+	text, err := stmt.Render(args...)
+	if err != nil {
+		return err
 	}
 	mm := n.mm
 	var seq uint64
@@ -129,7 +127,7 @@ func (n *MMNode) ExecWrite(p *sim.Proc, db, sql string, args ...sqlengine.Value)
 	mm.env.Schedule(mm.net.OneWay(n.Srv.Inst.Place, mm.seqAt), func() {
 		mm.nextSeq++
 		seq = mm.nextSeq
-		e := mmEvent{Seq: seq, Database: db, SQL: bound.String(), Origin: n.Index}
+		e := mmEvent{Seq: seq, Database: db, SQL: text, Origin: n.Index}
 		for _, node := range mm.nodes {
 			node.pipe.Send(e)
 		}

@@ -176,3 +176,48 @@ func TestMultiMasterWriteAmplification(t *testing.T) {
 	env.Stop()
 	env.Shutdown()
 }
+
+// Every node applies every replicated text. Apply lifts literals out of the
+// text, so the parse cache grows by one entry per statement shape, not per
+// distinct text. (The client spells its templates the way the binlog
+// renders them, so the writer's prepared text and the lifted template are
+// one entry.)
+func TestMultiMasterApplyCachesOneEntryPerShape(t *testing.T) {
+	env, mm := mmRig(t, 3, 2)
+	base := make([]int, len(mm.Nodes()))
+	for i, n := range mm.Nodes() {
+		base[i] = n.Srv.Eng.ParseCacheLen()
+	}
+	const writes = 20
+	env.Go("client", func(p *sim.Proc) {
+		for i := 0; i < writes; i++ {
+			node := mm.Node(i % 2)
+			if err := node.ExecWrite(p, "app", "INSERT INTO kv (k, v) VALUES (?, ?)",
+				sqlengine.NewInt(int64(i)), sqlengine.NewString(fmt.Sprintf("v%d", i))); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+			}
+			if err := node.ExecWrite(p, "app", "UPDATE kv SET v = ? WHERE (k = ?)",
+				sqlengine.NewString(fmt.Sprintf("w%d", i)), sqlengine.NewInt(int64(i))); err != nil {
+				t.Errorf("update %d: %v", i, err)
+			}
+		}
+	})
+	env.RunUntil(time.Minute)
+	for i, n := range mm.Nodes() {
+		if n.ApplyErrors() != 0 || n.AppliedSeq() != 2*writes {
+			t.Fatalf("node %d applied %d with %d errors", i, n.AppliedSeq(), n.ApplyErrors())
+		}
+		if got := n.Srv.Eng.ParseCacheLen() - base[i]; got != 2 {
+			t.Errorf("node %d: parse cache grew by %d entries over %d writes of 2 shapes", i, got, 2*writes)
+		}
+		set, err := n.Srv.Session("app").Query("SELECT COUNT(*) FROM kv WHERE v LIKE 'w%'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Rows[0][0].Int() != writes {
+			t.Fatalf("node %d has %v updated rows, want %d", i, set.Rows[0][0], writes)
+		}
+	}
+	env.Stop()
+	env.Shutdown()
+}

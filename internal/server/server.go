@@ -304,7 +304,7 @@ func (s *DBServer) Apply(p *sim.Proc, sess *sqlengine.Session, e binlog.Entry) e
 		return ErrServerDown
 	}
 	if e.Database != "" && sess.DB() != e.Database {
-		if _, err := sess.Exec("USE " + e.Database); err != nil {
+		if err := sess.Use(e.Database); err != nil {
 			return err
 		}
 	}

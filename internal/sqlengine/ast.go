@@ -6,10 +6,11 @@ import (
 )
 
 // Stmt is a parsed SQL statement (the AST root). String renders it back to
-// SQL; for statements with bound parameters, rendering after Bind produces
-// the fully-interpolated text recorded in the binlog. The canonical String
-// rendering also serves as the normalized-SQL key of the plan cache: two
-// texts differing only in whitespace or keyword case share one entry.
+// SQL through the printer (sqlPrinter below); renderSQL is the same printer
+// with arguments, producing the fully-interpolated text recorded in the
+// binlog. The canonical String rendering also serves as the normalized-SQL
+// key of the plan cache: two texts differing only in whitespace or keyword
+// case share one entry.
 //
 // Stmt is the raw parse-tree layer. The prepared-statement handle the engine
 // hands out is *Statement (prepare.go), which wraps a Stmt together with its
@@ -176,40 +177,8 @@ type InsertStmt struct {
 	Rows    [][]Expr
 }
 
-func (s *InsertStmt) String() string {
-	var b strings.Builder
-	// Sized for the common one-row insert: replication interpolates every
-	// write through here, so repeated Builder growth is measurable.
-	b.Grow(64 + 16*len(s.Columns) + 24*len(s.Rows)*(1+len(s.Columns)))
-	b.WriteString("INSERT INTO ")
-	b.WriteString(s.Table.String())
-	if len(s.Columns) > 0 {
-		b.WriteString(" (")
-		for i, c := range s.Columns {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c)
-		}
-		b.WriteString(")")
-	}
-	b.WriteString(" VALUES ")
-	for i, row := range s.Rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("(")
-		for j, e := range row {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(e.String())
-		}
-		b.WriteString(")")
-	}
-	return b.String()
-}
-func (*InsertStmt) stmt() {}
+func (s *InsertStmt) String() string { return renderSQL(s, nil, 0) }
+func (*InsertStmt) stmt()            {}
 
 // Assignment is one SET clause of UPDATE.
 type Assignment struct {
@@ -224,18 +193,8 @@ type UpdateStmt struct {
 	Where Expr
 }
 
-func (s *UpdateStmt) String() string {
-	var sets []string
-	for _, a := range s.Sets {
-		sets = append(sets, a.Column+" = "+a.Value.String())
-	}
-	out := "UPDATE " + s.Table.String() + " SET " + strings.Join(sets, ", ")
-	if s.Where != nil {
-		out += " WHERE " + s.Where.String()
-	}
-	return out
-}
-func (*UpdateStmt) stmt() {}
+func (s *UpdateStmt) String() string { return renderSQL(s, nil, 0) }
+func (*UpdateStmt) stmt()            {}
 
 // DeleteStmt is DELETE FROM ... WHERE.
 type DeleteStmt struct {
@@ -243,14 +202,8 @@ type DeleteStmt struct {
 	Where Expr
 }
 
-func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + s.Table.String()
-	if s.Where != nil {
-		out += " WHERE " + s.Where.String()
-	}
-	return out
-}
-func (*DeleteStmt) stmt() {}
+func (s *DeleteStmt) String() string { return renderSQL(s, nil, 0) }
+func (*DeleteStmt) stmt()            {}
 
 // SelectExpr is one projection of a SELECT.
 type SelectExpr struct {
@@ -260,14 +213,9 @@ type SelectExpr struct {
 }
 
 func (se SelectExpr) String() string {
-	if se.Star {
-		return "*"
-	}
-	s := se.Expr.String()
-	if se.Alias != "" {
-		s += " AS " + se.Alias
-	}
-	return s
+	var p sqlPrinter
+	p.selectExpr(se)
+	return p.String()
 }
 
 // OrderItem is one ORDER BY key.
@@ -277,11 +225,9 @@ type OrderItem struct {
 }
 
 func (o OrderItem) String() string {
-	s := o.Expr.String()
-	if o.Desc {
-		s += " DESC"
-	}
-	return s
+	var p sqlPrinter
+	p.orderItem(o)
+	return p.String()
 }
 
 // JoinClause is an INNER/LEFT join.
@@ -292,11 +238,9 @@ type JoinClause struct {
 }
 
 func (j JoinClause) String() string {
-	kw := "JOIN"
-	if j.Left {
-		kw = "LEFT JOIN"
-	}
-	return kw + " " + j.Table.String() + " ON " + j.On.String()
+	var p sqlPrinter
+	p.join(j)
+	return p.String()
 }
 
 // SelectStmt is SELECT.
@@ -313,8 +257,7 @@ type SelectStmt struct {
 	Offset   Expr
 
 	// norm caches the canonical String() rendering used as the plan-cache
-	// key. Written only under the engine mutex (planner) and cleared by the
-	// binder when it copies the statement.
+	// key. Written only under the engine mutex (planner).
 	norm string
 }
 
@@ -326,53 +269,8 @@ func (s *SelectStmt) normKey() string {
 	return s.norm
 }
 
-func (s *SelectStmt) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	for i, e := range s.Exprs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
-	}
-	if s.From != nil {
-		b.WriteString(" FROM " + s.From.String())
-	}
-	for _, j := range s.Joins {
-		b.WriteString(" " + j.String())
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
-	}
-	if len(s.GroupBy) > 0 {
-		var gs []string
-		for _, g := range s.GroupBy {
-			gs = append(gs, g.String())
-		}
-		b.WriteString(" GROUP BY " + strings.Join(gs, ", "))
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.String())
-	}
-	if len(s.OrderBy) > 0 {
-		var os []string
-		for _, o := range s.OrderBy {
-			os = append(os, o.String())
-		}
-		b.WriteString(" ORDER BY " + strings.Join(os, ", "))
-	}
-	if s.Limit != nil {
-		b.WriteString(" LIMIT " + s.Limit.String())
-	}
-	if s.Offset != nil {
-		b.WriteString(" OFFSET " + s.Offset.String())
-	}
-	return b.String()
-}
-func (*SelectStmt) stmt() {}
+func (s *SelectStmt) String() string { return renderSQL(s, nil, 0) }
+func (*SelectStmt) stmt()            {}
 
 // BeginStmt is BEGIN.
 type BeginStmt struct{}
@@ -420,10 +318,8 @@ func (*Param) expr()          {}
 // The unexported fields memoize name resolution: parsed ASTs are cached
 // and re-executed many times, and resolving the same column to the same
 // position on every row was the single hottest line of the executor. The
-// cache is written only under the engine's execution mutex (the binder
-// shares ColRef nodes rather than cloning them, so bound statements reuse
-// it too) and is keyed by table pointer, so DDL that rebuilds a table
-// invalidates it naturally.
+// cache is written only under the engine's execution mutex and is keyed by
+// table pointer, so DDL that rebuilds a table invalidates it naturally.
 type ColRef struct {
 	Table, Name string
 
@@ -446,15 +342,8 @@ type Unary struct {
 	X  Expr
 }
 
-func (u *Unary) String() string {
-	// Fully parenthesized so the rendering re-parses at any precedence
-	// level (e.g. as a BETWEEN operand).
-	if u.Op == "NOT" {
-		return "(NOT (" + u.X.String() + "))"
-	}
-	return "(-(" + u.X.String() + "))"
-}
-func (*Unary) expr() {}
+func (u *Unary) String() string { return exprString(u) }
+func (*Unary) expr()            {}
 
 // Binary is a binary operation: comparison, logic or arithmetic.
 type Binary struct {
@@ -462,10 +351,8 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b *Binary) String() string {
-	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
-}
-func (*Binary) expr() {}
+func (b *Binary) String() string { return exprString(b) }
+func (*Binary) expr()            {}
 
 // FuncCall is a builtin or aggregate call.
 type FuncCall struct {
@@ -475,21 +362,8 @@ type FuncCall struct {
 	Distinct bool // COUNT(DISTINCT x)
 }
 
-func (f *FuncCall) String() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	var args []string
-	for _, a := range f.Args {
-		args = append(args, a.String())
-	}
-	d := ""
-	if f.Distinct {
-		d = "DISTINCT "
-	}
-	return f.Name + "(" + d + strings.Join(args, ", ") + ")"
-}
-func (*FuncCall) expr() {}
+func (f *FuncCall) String() string { return exprString(f) }
+func (*FuncCall) expr()            {}
 
 // InExpr is x [NOT] IN (list).
 type InExpr struct {
@@ -498,18 +372,8 @@ type InExpr struct {
 	Not  bool
 }
 
-func (e *InExpr) String() string {
-	var items []string
-	for _, it := range e.List {
-		items = append(items, it.String())
-	}
-	op := " IN "
-	if e.Not {
-		op = " NOT IN "
-	}
-	return "(" + e.X.String() + op + "(" + strings.Join(items, ", ") + "))"
-}
-func (*InExpr) expr() {}
+func (e *InExpr) String() string { return exprString(e) }
+func (*InExpr) expr()            {}
 
 // BetweenExpr is x [NOT] BETWEEN lo AND hi.
 type BetweenExpr struct {
@@ -517,14 +381,8 @@ type BetweenExpr struct {
 	Not       bool
 }
 
-func (e *BetweenExpr) String() string {
-	op := " BETWEEN "
-	if e.Not {
-		op = " NOT BETWEEN "
-	}
-	return "(" + e.X.String() + op + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
-func (*BetweenExpr) expr() {}
+func (e *BetweenExpr) String() string { return exprString(e) }
+func (*BetweenExpr) expr()            {}
 
 // IsNullExpr is x IS [NOT] NULL.
 type IsNullExpr struct {
@@ -532,13 +390,8 @@ type IsNullExpr struct {
 	Not bool
 }
 
-func (e *IsNullExpr) String() string {
-	if e.Not {
-		return "(" + e.X.String() + " IS NOT NULL)"
-	}
-	return "(" + e.X.String() + " IS NULL)"
-}
-func (*IsNullExpr) expr() {}
+func (e *IsNullExpr) String() string { return exprString(e) }
+func (*IsNullExpr) expr()            {}
 
 // LikeExpr is x [NOT] LIKE pattern.
 type LikeExpr struct {
@@ -546,126 +399,268 @@ type LikeExpr struct {
 	Not        bool
 }
 
-func (e *LikeExpr) String() string {
-	op := " LIKE "
-	if e.Not {
-		op = " NOT LIKE "
-	}
-	return "(" + e.X.String() + op + e.Pattern.String() + ")"
-}
-func (*LikeExpr) expr() {}
+func (e *LikeExpr) String() string { return exprString(e) }
+func (*LikeExpr) expr()            {}
 
-// Bind returns a deep copy of stmt with every Param replaced by the
-// corresponding argument as a literal. The rendered String of the result is
-// the replayable statement text that goes into the binlog.
-func Bind(stmt Stmt, args []Value) (Stmt, error) {
-	b := &binder{args: args}
-	out := b.stmt(stmt)
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.used != len(args) {
-		return nil, fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", b.used, len(args))
-	}
-	return out, nil
-}
-
-type binder struct {
+// sqlPrinter renders AST nodes as SQL text; every String method above goes
+// through it. With args set, each ? renders as its argument's literal
+// (Value.SQL) — the replayable text a statement-format binlog records for a
+// write — so a template and its bound rendering share one layout by
+// construction. Expressions are fully parenthesized, so the output re-parses
+// at any precedence level.
+type sqlPrinter struct {
+	strings.Builder
 	args []Value
-	used int
-	err  error
 }
 
-func (b *binder) stmt(s Stmt) Stmt {
+// renderSQL renders stmt with args interpolated into its placeholders (nil
+// args leave them as ?). sizeHint, when known, sizes the buffer so the
+// rendering takes one allocation. Callers check the argument count first.
+func renderSQL(stmt Stmt, args []Value, sizeHint int) string {
+	p := sqlPrinter{args: args}
+	p.Grow(sizeHint)
+	p.stmt(stmt)
+	return p.String()
+}
+
+// exprString renders one expression with its placeholders as ?.
+func exprString(e Expr) string {
+	var p sqlPrinter
+	p.expr(e)
+	return p.String()
+}
+
+func (p *sqlPrinter) stmt(s Stmt) {
 	switch s := s.(type) {
-	case *ExplainStmt:
-		return &ExplainStmt{Inner: b.stmt(s.Inner)}
 	case *InsertStmt:
-		out := *s
-		out.Rows = make([][]Expr, len(s.Rows))
+		p.WriteString("INSERT INTO ")
+		p.WriteString(s.Table.String())
+		if len(s.Columns) > 0 {
+			p.WriteString(" (")
+			for i, c := range s.Columns {
+				if i > 0 {
+					p.WriteString(", ")
+				}
+				p.WriteString(c)
+			}
+			p.WriteString(")")
+		}
+		p.WriteString(" VALUES ")
 		for i, row := range s.Rows {
-			out.Rows[i] = b.exprs(row)
+			if i > 0 {
+				p.WriteString(", ")
+			}
+			p.WriteString("(")
+			p.exprList(row)
+			p.WriteString(")")
 		}
-		return &out
 	case *UpdateStmt:
-		out := *s
-		out.Sets = make([]Assignment, len(s.Sets))
+		p.WriteString("UPDATE ")
+		p.WriteString(s.Table.String())
+		p.WriteString(" SET ")
 		for i, a := range s.Sets {
-			out.Sets[i] = Assignment{a.Column, b.expr(a.Value)}
+			if i > 0 {
+				p.WriteString(", ")
+			}
+			p.WriteString(a.Column)
+			p.WriteString(" = ")
+			p.expr(a.Value)
 		}
-		out.Where = b.expr(s.Where)
-		return &out
+		p.where(s.Where)
 	case *DeleteStmt:
-		out := *s
-		out.Where = b.expr(s.Where)
-		return &out
+		p.WriteString("DELETE FROM ")
+		p.WriteString(s.Table.String())
+		p.where(s.Where)
 	case *SelectStmt:
-		out := *s
-		out.norm = "" // bound copy renders differently from the original
-		out.Exprs = make([]SelectExpr, len(s.Exprs))
-		for i, se := range s.Exprs {
-			out.Exprs[i] = SelectExpr{se.Star, b.expr(se.Expr), se.Alias}
+		p.selectStmt(s)
+	case *ExplainStmt:
+		p.WriteString("EXPLAIN ")
+		if s.Analyze {
+			p.WriteString("ANALYZE ")
 		}
-		out.Joins = make([]JoinClause, len(s.Joins))
-		for i, j := range s.Joins {
-			out.Joins[i] = JoinClause{j.Left, j.Table, b.expr(j.On)}
+		p.stmt(s.Inner)
+	default: // statements without expressions
+		p.WriteString(s.String())
+	}
+}
+
+func (p *sqlPrinter) selectStmt(s *SelectStmt) {
+	p.WriteString("SELECT ")
+	if s.Distinct {
+		p.WriteString("DISTINCT ")
+	}
+	for i, e := range s.Exprs {
+		if i > 0 {
+			p.WriteString(", ")
 		}
-		out.Where = b.expr(s.Where)
-		out.GroupBy = b.exprs(s.GroupBy)
-		out.Having = b.expr(s.Having)
-		out.OrderBy = make([]OrderItem, len(s.OrderBy))
+		p.selectExpr(e)
+	}
+	if s.From != nil {
+		p.WriteString(" FROM ")
+		p.WriteString(s.From.String())
+	}
+	for _, j := range s.Joins {
+		p.WriteString(" ")
+		p.join(j)
+	}
+	p.where(s.Where)
+	if len(s.GroupBy) > 0 {
+		p.WriteString(" GROUP BY ")
+		p.exprList(s.GroupBy)
+	}
+	if s.Having != nil {
+		p.WriteString(" HAVING ")
+		p.expr(s.Having)
+	}
+	if len(s.OrderBy) > 0 {
+		p.WriteString(" ORDER BY ")
 		for i, o := range s.OrderBy {
-			out.OrderBy[i] = OrderItem{b.expr(o.Expr), o.Desc}
+			if i > 0 {
+				p.WriteString(", ")
+			}
+			p.orderItem(o)
 		}
-		out.Limit = b.expr(s.Limit)
-		out.Offset = b.expr(s.Offset)
-		return &out
-	default:
-		return s
+	}
+	if s.Limit != nil {
+		p.WriteString(" LIMIT ")
+		p.expr(s.Limit)
+	}
+	if s.Offset != nil {
+		p.WriteString(" OFFSET ")
+		p.expr(s.Offset)
 	}
 }
 
-func (b *binder) exprs(es []Expr) []Expr {
-	if es == nil {
-		return nil
+func (p *sqlPrinter) where(e Expr) {
+	if e != nil {
+		p.WriteString(" WHERE ")
+		p.expr(e)
 	}
-	out := make([]Expr, len(es))
+}
+
+func (p *sqlPrinter) selectExpr(se SelectExpr) {
+	if se.Star {
+		p.WriteString("*")
+		return
+	}
+	p.expr(se.Expr)
+	if se.Alias != "" {
+		p.WriteString(" AS ")
+		p.WriteString(se.Alias)
+	}
+}
+
+func (p *sqlPrinter) orderItem(o OrderItem) {
+	p.expr(o.Expr)
+	if o.Desc {
+		p.WriteString(" DESC")
+	}
+}
+
+func (p *sqlPrinter) join(j JoinClause) {
+	if j.Left {
+		p.WriteString("LEFT ")
+	}
+	p.WriteString("JOIN ")
+	p.WriteString(j.Table.String())
+	p.WriteString(" ON ")
+	p.expr(j.On)
+}
+
+func (p *sqlPrinter) exprList(es []Expr) {
 	for i, e := range es {
-		out[i] = b.expr(e)
+		if i > 0 {
+			p.WriteString(", ")
+		}
+		p.expr(e)
 	}
-	return out
 }
 
-func (b *binder) expr(e Expr) Expr {
-	if e == nil || b.err != nil {
-		return e
-	}
+func (p *sqlPrinter) expr(e Expr) {
 	switch e := e.(type) {
+	case *Literal:
+		e.V.writeSQL(&p.Builder)
 	case *Param:
-		if e.Index >= len(b.args) {
-			b.err = fmt.Errorf("sqlengine: missing argument for parameter %d", e.Index+1)
-			return e
+		if e.Index < len(p.args) {
+			p.args[e.Index].writeSQL(&p.Builder)
+		} else {
+			p.WriteString("?")
 		}
-		b.used++
-		return &Literal{b.args[e.Index]}
-	case *Literal, *ColRef:
-		return e
 	case *Unary:
-		return &Unary{e.Op, b.expr(e.X)}
+		if e.Op == "NOT" {
+			p.WriteString("(NOT (")
+		} else {
+			p.WriteString("(-(")
+		}
+		p.expr(e.X)
+		p.WriteString("))")
 	case *Binary:
-		return &Binary{e.Op, b.expr(e.L), b.expr(e.R)}
+		p.WriteString("(")
+		p.expr(e.L)
+		p.WriteString(" ")
+		p.WriteString(e.Op)
+		p.WriteString(" ")
+		p.expr(e.R)
+		p.WriteString(")")
 	case *FuncCall:
-		return &FuncCall{e.Name, b.exprs(e.Args), e.Star, e.Distinct}
+		p.WriteString(e.Name)
+		if e.Star {
+			p.WriteString("(*)")
+			return
+		}
+		p.WriteString("(")
+		if e.Distinct {
+			p.WriteString("DISTINCT ")
+		}
+		p.exprList(e.Args)
+		p.WriteString(")")
 	case *InExpr:
-		return &InExpr{b.expr(e.X), b.exprs(e.List), e.Not}
+		p.WriteString("(")
+		p.expr(e.X)
+		if e.Not {
+			p.WriteString(" NOT IN (")
+		} else {
+			p.WriteString(" IN (")
+		}
+		p.exprList(e.List)
+		p.WriteString("))")
 	case *BetweenExpr:
-		return &BetweenExpr{b.expr(e.X), b.expr(e.Lo), b.expr(e.Hi), e.Not}
+		p.WriteString("(")
+		p.expr(e.X)
+		if e.Not {
+			p.WriteString(" NOT BETWEEN ")
+		} else {
+			p.WriteString(" BETWEEN ")
+		}
+		p.expr(e.Lo)
+		p.WriteString(" AND ")
+		p.expr(e.Hi)
+		p.WriteString(")")
 	case *IsNullExpr:
-		return &IsNullExpr{b.expr(e.X), e.Not}
+		p.WriteString("(")
+		p.expr(e.X)
+		if e.Not {
+			p.WriteString(" IS NOT NULL)")
+		} else {
+			p.WriteString(" IS NULL)")
+		}
 	case *LikeExpr:
-		return &LikeExpr{b.expr(e.X), b.expr(e.Pattern), e.Not}
+		p.WriteString("(")
+		p.expr(e.X)
+		if e.Not {
+			p.WriteString(" NOT LIKE ")
+		} else {
+			p.WriteString(" LIKE ")
+		}
+		p.expr(e.Pattern)
+		p.WriteString(")")
+	case *ColRef:
+		if e.Table != "" {
+			p.WriteString(e.Table)
+			p.WriteString(".")
+		}
+		p.WriteString(e.Name)
 	default:
-		b.err = fmt.Errorf("sqlengine: cannot bind expression %T", e)
-		return e
+		p.WriteString(e.String())
 	}
 }

@@ -76,6 +76,7 @@ type Result struct {
 
 // CommitHook observes committed write statements in commit order. database
 // is the session's current database; sqls are replayable statement texts.
+// The slice is valid only during the call: a hook copies the texts it keeps.
 type CommitHook func(database string, sqls []string)
 
 // BinlogFormat selects how committed writes are rendered for replication.
@@ -124,7 +125,10 @@ type Engine struct {
 	gcVersions uint64
 	gcRows     uint64
 
-	parseCache sync.Map // sql string -> parseEntry
+	// parseCache maps a statement text — a prepared text or a replicated
+	// write's lifted template — to its parse.
+	parseMu    sync.RWMutex
+	parseCache map[string]parseEntry
 
 	// Planner state (planner.go, prepare.go). statsEpoch advances on
 	// ANALYZE, DDL and snapshot Restore; a cached *Plan embeds table and
@@ -168,9 +172,10 @@ func (d *Database) Table(name string) (*Table, bool) {
 // NowMicros is set.
 func NewEngine() *Engine {
 	return &Engine{
-		dbs:       make(map[string]*Database),
-		NowMicros: func() int64 { return 0 },
-		planCache: make(map[string]*Plan),
+		dbs:        make(map[string]*Database),
+		NowMicros:  func() int64 { return 0 },
+		parseCache: make(map[string]parseEntry),
+		planCache:  make(map[string]*Plan),
 	}
 }
 
@@ -200,29 +205,43 @@ func (e *Engine) Databases() []string {
 	return out
 }
 
-// parse returns the cached AST for sql, parsing on first use. Cached ASTs
-// are never mutated: execution works on bound copies.
-func (e *Engine) parse(sql string) (Stmt, error) {
-	ent, err := e.parseEntry(sql)
-	if err != nil {
-		return nil, err
-	}
-	return ent.stmt, nil
-}
-
 // parseEntry returns the cached AST plus its normalized rendering, parsing
 // and rendering on first use.
 func (e *Engine) parseEntry(sql string) (parseEntry, error) {
-	if v, ok := e.parseCache.Load(sql); ok {
-		return v.(parseEntry), nil
+	e.parseMu.RLock()
+	ent, ok := e.parseCache[sql]
+	e.parseMu.RUnlock()
+	if ok {
+		return ent, nil
 	}
 	stmt, err := Parse(sql)
 	if err != nil {
 		return parseEntry{}, err
 	}
-	ent := parseEntry{stmt: stmt, norm: stmt.String(), nparams: countParams(stmt)}
-	e.parseCache.Store(sql, ent)
+	ent = parseEntry{stmt: stmt, norm: stmt.String(), nparams: countParams(stmt)}
+	e.parseMu.Lock()
+	e.parseCache[sql] = ent
+	e.parseMu.Unlock()
 	return ent, nil
+}
+
+// templateEntry is parseEntry for a lifted template (lift.go): a hit looks
+// the bytes up without copying them into a string.
+func (e *Engine) templateEntry(tmpl []byte) (parseEntry, error) {
+	e.parseMu.RLock()
+	ent, ok := e.parseCache[string(tmpl)]
+	e.parseMu.RUnlock()
+	if ok {
+		return ent, nil
+	}
+	return e.parseEntry(string(tmpl))
+}
+
+// ParseCacheLen returns the number of statement texts in the parse cache.
+func (e *Engine) ParseCacheLen() int {
+	e.parseMu.RLock()
+	defer e.parseMu.RUnlock()
+	return len(e.parseCache)
 }
 
 // Session is a connection-scoped execution context: current database,
@@ -241,6 +260,9 @@ type Session struct {
 	// provisional counts this session's outstanding in-transaction stamps,
 	// mirrored into Engine.provisional for the fast-path read check.
 	provisional int
+	// oneSQL backs the one-statement slice an autocommit write hands the
+	// commit hook.
+	oneSQL [1]string
 }
 
 // NewSession opens a session with the given current database (may be "").
@@ -268,11 +290,29 @@ func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
 	return stmt.Run(s, args...)
 }
 
-// ExecUncached parses and executes one statement without touching the
-// parse cache. Replication apply uses it: replicated texts carry
-// interpolated literals, so they would never hit the cache again — caching
-// them only grows it without bound over a run.
+// ExecUncached executes one replicated statement text: it is the replica
+// apply entry point. An INSERT, UPDATE or DELETE is lifted (lift.go): its
+// literals become an argument vector and the AST of its ? template comes
+// from the parse cache, so the cache holds one entry per statement shape,
+// however many distinct literal texts a run replicates. The template runs
+// with the lifted arguments, as the master ran its own template. The
+// incoming text becomes the statement's binlog entry as it came when it is
+// in canonical form; otherwise the template renders it with the arguments.
+// Any other text — DDL, USE, or a write the lift leaves alone — takes a
+// plain parse that bypasses the cache, as does a text passed with args.
 func (s *Session) ExecUncached(sql string, args ...Value) (*Result, error) {
+	if len(args) == 0 {
+		var buf [512]byte
+		if tmpl, l, ok := lift(sql, buf[:0]); ok && isWriteVerb(l.verb) {
+			if ent, err := s.eng.templateEntry(tmpl); err == nil {
+				text := ""
+				if l.canon && ent.norm == string(tmpl) {
+					text = sql
+				}
+				return s.exec(ent, l.args, text)
+			}
+		}
+	}
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
@@ -280,28 +320,35 @@ func (s *Session) ExecUncached(sql string, args ...Value) (*Result, error) {
 	return s.ExecStmt(stmt, args...)
 }
 
-// ExecStmt executes a pre-parsed statement with bound args.
+func isWriteVerb(verb string) bool {
+	return verb == "INSERT" || verb == "UPDATE" || verb == "DELETE"
+}
+
+// ExecStmt executes a pre-parsed statement with args for its ? placeholders.
 //
-// Reads (SELECT, EXPLAIN) are not bound: the planner works on the original
-// parameterized AST so one cached plan serves every argument vector, and the
-// executor resolves ? placeholders against args at evaluation time. Writes
-// still bind eagerly — the binlog replicates their interpolated text.
+// Nothing is bound: reads plan the parameterized AST, so one cached plan
+// serves every argument vector, and writes plan per execution against the
+// arguments. Either way the executor resolves each ? through the scope's
+// args, and a write's binlog text is rendered once from the statement and
+// its arguments.
 func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
-	bound := stmt
-	var readArgs []Value
-	switch stmt.(type) {
+	return s.exec(parseEntry{stmt: stmt, nparams: countParams(stmt)}, args, "")
+}
+
+// exec runs one statement: ent is its AST with parameter count (and
+// normalized text, when known), args the values of its placeholders, and
+// text, when non-empty, the binlog text a write logs in place of rendering
+// the statement with its arguments.
+func (s *Session) exec(ent parseEntry, args []Value, text string) (*Result, error) {
+	switch ent.stmt.(type) {
 	case *SelectStmt, *ExplainStmt:
-		readArgs = args
+		// Reads check their arguments against the plan (Plan.checkArgs).
 	default:
-		if len(args) > 0 || hasParams(stmt) {
-			var err error
-			bound, err = Bind(stmt, args)
-			if err != nil {
-				return nil, err
-			}
+		if err := checkArgCount(ent.nparams, args); err != nil {
+			return nil, err
 		}
 	}
-	switch st := bound.(type) {
+	switch st := ent.stmt.(type) {
 	case *BeginStmt:
 		if s.inTxn {
 			return nil, fmt.Errorf("sqlengine: nested BEGIN")
@@ -321,28 +368,57 @@ func (s *Session) ExecStmt(stmt Stmt, args ...Value) (*Result, error) {
 		s.rollback()
 		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: "ROLLBACK"}, nil
 	case *UseStmt:
-		if _, ok := s.eng.Database(st.DB); !ok {
-			return nil, fmt.Errorf("sqlengine: unknown database %s", st.DB)
+		if err := s.Use(st.DB); err != nil {
+			return nil, err
 		}
-		s.db = st.DB
-		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: bound.String()}, nil
+		return &Result{Stats: ExecStats{Class: ClassTxn}, SQL: st.String()}, nil
 	}
 
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
-	res, err := s.eng.execLocked(s, bound, readArgs)
+	res, err := s.eng.execLocked(s, ent.stmt, args)
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats.Class == ClassWrite && !s.inTxn {
-		// Autocommit: the statement is its own commit — stamp its version
-		// marks before the lock drops and anything else can observe them.
-		s.finalizeStampsLocked()
+	if res.Stats.Class == ClassWrite {
+		if text == "" {
+			text = renderSQL(ent.stmt, args, renderedLen(ent.norm, args))
+		}
+		res.SQL = text
+		if !s.inTxn {
+			// Autocommit: the statement is its own commit — stamp its
+			// version marks before the lock drops and anything else can
+			// observe them.
+			s.finalizeStampsLocked()
+		}
 	}
 	if res.Stats.Class == ClassWrite || res.Stats.Class == ClassDDL {
 		s.recordCommit(res)
 	}
 	return res, nil
+}
+
+// renderedLen estimates the length of a normalized text with args
+// interpolated, so rendering a write's binlog text takes one allocation.
+func renderedLen(norm string, args []Value) int {
+	n := len(norm)
+	for _, a := range args {
+		if a.kind == KindString {
+			n += len(a.s) + 2
+		} else {
+			n += 20
+		}
+	}
+	return n
+}
+
+// Use makes db the session's current database, as USE db does.
+func (s *Session) Use(db string) error {
+	if _, ok := s.eng.Database(db); !ok {
+		return fmt.Errorf("sqlengine: unknown database %s", db)
+	}
+	s.db = db
+	return nil
 }
 
 // Query is Exec for statements expected to return rows.
@@ -361,7 +437,8 @@ func (s *Session) Query(sql string, args ...Value) (*ResultSet, error) {
 // autocommit mode or buffered until COMMIT inside a transaction. DDL always
 // commits immediately (MySQL's implicit-commit behaviour).
 func (s *Session) recordCommit(res *Result) {
-	sqls := []string{res.SQL}
+	s.oneSQL[0] = res.SQL
+	sqls := s.oneSQL[:]
 	if s.eng.Format == FormatRow && res.Stats.Class == ClassWrite {
 		sqls = res.RowSQL
 		if len(sqls) == 0 {
@@ -421,12 +498,9 @@ func (s *Session) rollback() {
 	s.inTxn = false
 }
 
-// addUndo records an undo action when inside a transaction.
-func (s *Session) addUndo(fn func()) {
-	if s.inTxn {
-		s.undo = append(s.undo, fn)
-	}
-}
+// addUndo records an undo action. Only a transaction can roll back, so
+// callers build undo actions only when s.inTxn.
+func (s *Session) addUndo(fn func()) { s.undo = append(s.undo, fn) }
 
 // resolveTable finds the table named by ref in the session's engine.
 func (s *Session) resolveTable(ref TableRef) (*Database, *Table, error) {
@@ -446,17 +520,6 @@ func (s *Session) resolveTable(ref TableRef) (*Database, *Table, error) {
 		return db, nil, fmt.Errorf("sqlengine: unknown table %s.%s", dbName, ref.Name)
 	}
 	return db, t, nil
-}
-
-// hasParams reports whether any Param node appears in the statement.
-func hasParams(stmt Stmt) bool {
-	found := false
-	walkStmt(stmt, func(e Expr) {
-		if _, ok := e.(*Param); ok {
-			found = true
-		}
-	})
-	return found
 }
 
 // walkStmt visits every expression in a statement.

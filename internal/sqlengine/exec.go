@@ -7,9 +7,10 @@ import (
 )
 
 // execLocked executes a non-transaction statement. The engine mutex is held
-// by the caller. Write statements arrive pre-bound (args interpolated);
-// reads arrive as the original parameterized AST with args carried
-// separately for plan-cache sharing.
+// by the caller. Statements arrive as the parameterized AST with args
+// carried separately: reads share cached plans across argument vectors,
+// writes plan per execution against them, and both resolve each ? through
+// the scope's args. A write's Result.SQL is filled in by the caller.
 func (e *Engine) execLocked(s *Session, stmt Stmt, args []Value) (*Result, error) {
 	switch st := stmt.(type) {
 	case *CreateDatabaseStmt:
@@ -31,11 +32,11 @@ func (e *Engine) execLocked(s *Session, stmt Stmt, args []Value) (*Result, error
 		e.bumpStatsEpochLocked()
 		return &Result{Stats: ExecStats{Class: ClassDDL, RowsAffected: n}, SQL: st.String()}, nil
 	case *InsertStmt:
-		return e.execInsert(s, st)
+		return e.execInsert(s, st, args)
 	case *UpdateStmt:
-		return e.execUpdate(s, st)
+		return e.execUpdate(s, st, args)
 	case *DeleteStmt:
-		return e.execDelete(s, st)
+		return e.execDelete(s, st, args)
 	case *SelectStmt:
 		return e.execSelect(s, st, args)
 	case *ExplainStmt:
@@ -110,7 +111,7 @@ func (e *Engine) execDropTable(s *Session, st *DropTableStmt) (*Result, error) {
 	return &Result{Stats: ExecStats{Class: ClassDDL}, SQL: st.String()}, nil
 }
 
-func (e *Engine) execInsert(s *Session, st *InsertStmt) (*Result, error) {
+func (e *Engine) execInsert(s *Session, st *InsertStmt, args []Value) (*Result, error) {
 	_, tbl, err := s.resolveTable(st.Table)
 	if err != nil {
 		return nil, err
@@ -123,6 +124,7 @@ func (e *Engine) execInsert(s *Session, st *InsertStmt) (*Result, error) {
 			positions[i] = i
 		}
 	} else {
+		positions = make([]int, 0, len(st.Columns))
 		for _, name := range st.Columns {
 			pos, ok := tbl.ColPos(name)
 			if !ok {
@@ -131,7 +133,7 @@ func (e *Engine) execInsert(s *Session, st *InsertStmt) (*Result, error) {
 			positions = append(positions, pos)
 		}
 	}
-	sc := &scope{eng: e}
+	sc := &scope{eng: e, args: args}
 	stats := ExecStats{Class: ClassWrite}
 	var inserted []*Row
 	for _, exprRow := range st.Rows {
@@ -173,24 +175,26 @@ func (e *Engine) execInsert(s *Session, st *InsertStmt) (*Result, error) {
 			r.txn = nil
 		}
 	})
-	s.addUndo(func() {
-		for i := len(rows) - 1; i >= 0; i-- {
-			tbl.Delete(rows[i])
-		}
-	})
-	res := &Result{Stats: stats, SQL: st.String()}
+	if s.inTxn {
+		s.addUndo(func() {
+			for i := len(rows) - 1; i >= 0; i-- {
+				tbl.Delete(rows[i])
+			}
+		})
+	}
+	res := &Result{Stats: stats}
 	if e.Format == FormatRow {
 		for _, r := range inserted {
 			res.RowSQL = append(res.RowSQL, renderRowInsert(tbl, r.vals))
 		}
 	}
-	// In statement format the binlog stores the original statement text so
-	// the slave re-evaluates builtins against its own clock.
+	// In statement format the binlog stores the statement text so the slave
+	// re-evaluates builtins against its own clock.
 	return res, nil
 }
 
-func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
-	p, err := e.planWriteLocked(s, st.Table, st.Where)
+func (e *Engine) execUpdate(s *Session, st *UpdateStmt, args []Value) (*Result, error) {
+	p, err := e.planWriteLocked(s, st.Table, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +211,7 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 	}
 
 	stats := ExecStats{Class: ClassWrite}
-	sc := &scope{eng: e}
+	sc := &scope{eng: e, args: args}
 	targets, err := e.writeTargets(s, p, sc, &stats)
 	if err != nil {
 		return nil, err
@@ -278,14 +282,16 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 				}
 			}
 		})
-		s.addUndo(func() {
-			for i := len(recs) - 1; i >= 0; i-- {
-				_ = tbl.Update(recs[i].r, recs[i].old)
-				popChain(recs[i])
-			}
-		})
+		if s.inTxn {
+			s.addUndo(func() {
+				for i := len(recs) - 1; i >= 0; i-- {
+					_ = tbl.Update(recs[i].r, recs[i].old)
+					popChain(recs[i])
+				}
+			})
+		}
 	}
-	res := &Result{Stats: stats, SQL: st.String()}
+	res := &Result{Stats: stats}
 	if e.Format == FormatRow {
 		for _, rec := range undos {
 			res.RowSQL = append(res.RowSQL, renderRowUpdate(tbl, rec.old, rec.r.vals))
@@ -294,14 +300,14 @@ func (e *Engine) execUpdate(s *Session, st *UpdateStmt) (*Result, error) {
 	return res, nil
 }
 
-func (e *Engine) execDelete(s *Session, st *DeleteStmt) (*Result, error) {
-	p, err := e.planWriteLocked(s, st.Table, st.Where)
+func (e *Engine) execDelete(s *Session, st *DeleteStmt, args []Value) (*Result, error) {
+	p, err := e.planWriteLocked(s, st.Table, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
 	tbl := p.tables[0].tbl
 	stats := ExecStats{Class: ClassWrite}
-	targets, err := e.writeTargets(s, p, &scope{eng: e}, &stats)
+	targets, err := e.writeTargets(s, p, &scope{eng: e, args: args}, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -325,15 +331,17 @@ func (e *Engine) execDelete(s *Session, st *DeleteStmt) (*Result, error) {
 				r.txn = nil
 			}
 		})
-		s.addUndo(func() {
-			for i := len(rows) - 1; i >= 0; i-- {
-				rows[i].end = 0
-				rows[i].txn = nil
-				tbl.relink(rows[i])
-			}
-		})
+		if s.inTxn {
+			s.addUndo(func() {
+				for i := len(rows) - 1; i >= 0; i-- {
+					rows[i].end = 0
+					rows[i].txn = nil
+					tbl.relink(rows[i])
+				}
+			})
+		}
 	}
-	res := &Result{Stats: stats, SQL: st.String()}
+	res := &Result{Stats: stats}
 	if e.Format == FormatRow {
 		for _, r := range targets {
 			res.RowSQL = append(res.RowSQL, renderRowDelete(tbl, r.vals))
@@ -356,7 +364,8 @@ func conjuncts(e Expr) []Expr {
 // writeTargets runs a write plan's scan and filter operators and returns
 // every row the WHERE selects, before any of them is modified. Writes act on
 // the latest row versions, never through a snapshot, so the scan yields
-// *Rows. sc gets the table's scope slot, which UPDATE reuses for SET.
+// *Rows. sc, which carries the statement's args, gets the table's scope
+// slot, which UPDATE reuses for SET.
 func (e *Engine) writeTargets(s *Session, p *Plan, sc *scope, stats *ExecStats) ([]*Row, error) {
 	pt := p.tables[0]
 	sc.tables = []scopeTable{{pt.lower, pt.tbl, nil}}
@@ -393,7 +402,7 @@ func (e *Engine) execSelect(s *Session, st *SelectStmt, args []Value) (*Result, 
 // plan chose, and the limit finishes the result. acts, when non-nil,
 // receives per-node output counts for EXPLAIN ANALYZE.
 func (e *Engine) execPlan(s *Session, p *Plan, args []Value, acts []int64) (*Result, error) {
-	if err := p.checkArgs(args); err != nil {
+	if err := checkArgCount(p.nparams, args); err != nil {
 		return nil, err
 	}
 	st := p.stmt

@@ -10,7 +10,12 @@ import (
 // a session on it.
 func newTestDB(t *testing.T) *Session {
 	t.Helper()
-	eng := NewEngine()
+	return loadTestDB(t, NewEngine())
+}
+
+// loadTestDB creates and fills newTestDB's "app" database on eng.
+func loadTestDB(t *testing.T, eng *Engine) *Session {
+	t.Helper()
 	if err := eng.CreateDatabase("app", false); err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +607,7 @@ func TestParseCacheReuse(t *testing.T) {
 	if _, err := s.Exec(q, NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.eng.parseCache.Load(q); !ok {
+	if _, ok := s.eng.parseCache[q]; !ok {
 		t.Fatal("statement not cached")
 	}
 	// Second execution with different args must not be polluted by the

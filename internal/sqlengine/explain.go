@@ -14,13 +14,8 @@ type ExplainStmt struct {
 	Analyze bool
 }
 
-func (s *ExplainStmt) String() string {
-	if s.Analyze {
-		return "EXPLAIN ANALYZE " + s.Inner.String()
-	}
-	return "EXPLAIN " + s.Inner.String()
-}
-func (*ExplainStmt) stmt() {}
+func (s *ExplainStmt) String() string { return renderSQL(s, nil, 0) }
+func (*ExplainStmt) stmt()            {}
 
 // execExplain renders the plan tree for the inner statement: a single "plan"
 // column, one operator per row, in the byte-deterministic format documented
@@ -70,7 +65,7 @@ func (e *Engine) execExplain(s *Session, st *ExplainStmt, args []Value) (*Result
 // plan — the access the write executes — as one plan line carrying the
 // whole WHERE as its filter.
 func (e *Engine) explainWriteLocked(s *Session, ref TableRef, where Expr, verb string) (string, error) {
-	p, err := e.planWriteLocked(s, ref, where)
+	p, err := e.planWriteLocked(s, ref, where, nil)
 	if err != nil {
 		return "", err
 	}

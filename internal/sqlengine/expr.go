@@ -14,8 +14,8 @@ type scopeTable struct {
 }
 
 // scope is the row context for evaluating expressions. args carries the
-// statement's positional arguments for reads executed against the original
-// parameterized AST (writes interpolate via Bind and never see a Param).
+// statement's positional arguments: every statement executes as its
+// parameterized AST, so a ? resolves here, for reads and writes alike.
 type scope struct {
 	tables []scopeTable
 	eng    *Engine

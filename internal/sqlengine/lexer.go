@@ -25,25 +25,40 @@ type token struct {
 	pos  int    // byte offset for error messages
 }
 
-// keywords recognized by the dialect. Idents matching these (case
-// insensitively) lex as keywords.
-var keywords = map[string]bool{
-	"SELECT": true, "INSERT": true, "UPDATE": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "TABLE": true, "DATABASE": true,
-	"INTO": true, "VALUES": true, "SET": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true,
-	"FALSE": true, "ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true, "GROUP": true, "JOIN": true, "INNER": true,
-	"LEFT": true, "ON": true, "AS": true, "IN": true, "IS": true,
-	"LIKE": true, "BETWEEN": true, "PRIMARY": true, "KEY": true,
-	"INDEX": true, "UNIQUE": true, "IF": true, "EXISTS": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "USE": true,
-	"EXPLAIN": true, "ANALYZE": true, "SHOW": true, "DESCRIBE": true,
-	"INT": true, "INTEGER": true, "BIGINT": true, "DOUBLE": true,
-	"FLOAT": true, "VARCHAR": true, "TEXT": true, "BOOLEAN": true,
-	"BOOL": true, "TIMESTAMP": true, "DATETIME": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"DISTINCT": true, "HAVING": true, "TRUNCATE": true,
+// keywords recognized by the dialect, each mapped to itself so the lexer
+// hands out the interned upper-case text instead of allocating a copy.
+// Idents matching these (case insensitively) lex as keywords.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT INSERT UPDATE DELETE CREATE DROP TABLE DATABASE
+		INTO VALUES SET FROM WHERE AND OR NOT NULL TRUE FALSE ORDER BY ASC DESC
+		LIMIT OFFSET GROUP JOIN INNER LEFT ON AS IN IS LIKE BETWEEN PRIMARY KEY
+		INDEX UNIQUE IF EXISTS BEGIN COMMIT ROLLBACK USE EXPLAIN ANALYZE SHOW
+		DESCRIBE INT INTEGER BIGINT DOUBLE FLOAT VARCHAR TEXT BOOLEAN BOOL
+		TIMESTAMP DATETIME COUNT SUM AVG MIN MAX DISTINCT HAVING TRUNCATE`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keywordOf returns the interned keyword a word spells, case-insensitively.
+// The word is upper-cased into a stack buffer, so the lookup allocates
+// nothing; no keyword is longer than the buffer.
+func keywordOf(word string) (string, bool) {
+	var buf [16]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // lexError is a tokenization failure.
@@ -54,120 +69,161 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("lex error at offset %d: %s", e.pos, e.msg) }
 
-// lex tokenizes a SQL string.
-func lex(sql string) ([]token, error) {
-	// Sized so typical statements tokenize in one allocation — replication
-	// apply lexes every shipped write, so repeated slice growth adds up.
-	toks := make([]token, 0, len(sql)/5+4)
-	i := 0
-	n := len(sql)
+// scanner yields the tokens of one SQL text in order. lex collects them for
+// the parser; lift (lift.go) streams them to parameterize a statement
+// without building a token slice. Token texts are substrings of the input
+// wherever possible (identifiers, numbers, symbols, escape-free strings),
+// and keywords are interned, so scanning allocates only for string literals
+// that carry escapes.
+type scanner struct {
+	sql string
+	i   int // offset of the next unread byte
+}
+
+// next returns the following token, tokEOF at the end of the text.
+func (sc *scanner) next() (token, error) {
+	sql, n := sc.sql, len(sc.sql)
+	i := sc.i
 	for i < n {
 		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
 			i++
-		case c == '-' && i+1 < n && sql[i+1] == '-':
+			continue
+		}
+		if c == '-' && i+1 < n && sql[i+1] == '-' {
 			for i < n && sql[i] != '\n' {
 				i++
 			}
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(sql[i+1])):
-			start := i
-			isFloat := false
-			for i < n && (isDigit(sql[i]) || sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' ||
-				((sql[i] == '+' || sql[i] == '-') && i > start && (sql[i-1] == 'e' || sql[i-1] == 'E'))) {
-				if sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' {
-					isFloat = true
-				}
-				i++
+			continue
+		}
+		break
+	}
+	if i >= n {
+		sc.i = n
+		return token{tokEOF, "", n}, nil
+	}
+	start := i
+	c := sql[i]
+	var tok token
+	switch {
+	case isDigit(c) || (c == '.' && i+1 < n && isDigit(sql[i+1])):
+		isFloat := false
+		for i < n && (isDigit(sql[i]) || sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' ||
+			((sql[i] == '+' || sql[i] == '-') && i > start && (sql[i-1] == 'e' || sql[i-1] == 'E'))) {
+			if sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' {
+				isFloat = true
 			}
-			kind := tokInt
-			if isFloat {
-				kind = tokFloat
-			}
-			toks = append(toks, token{kind, sql[start:i], start})
-		case c == '\'':
-			start := i
 			i++
-			var b strings.Builder
-			closed := false
-			for i < n {
-				if sql[i] == '\'' {
-					if i+1 < n && sql[i+1] == '\'' { // escaped quote
-						b.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
-					break
-				}
-				if sql[i] == '\\' && i+1 < n { // backslash escapes
-					switch sql[i+1] {
-					case 'n':
-						b.WriteByte('\n')
-					case 't':
-						b.WriteByte('\t')
-					case '\'', '\\':
-						b.WriteByte(sql[i+1])
-					default:
-						b.WriteByte(sql[i+1])
-					}
-					i += 2
-					continue
-				}
-				b.WriteByte(sql[i])
-				i++
-			}
-			if !closed {
-				return nil, &lexError{start, "unterminated string literal"}
-			}
-			toks = append(toks, token{tokString, b.String(), start})
-		case isIdentStart(c):
-			start := i
-			for i < n && isIdentPart(sql[i]) {
-				i++
-			}
-			word := sql[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, start})
-			} else {
-				toks = append(toks, token{tokIdent, word, start})
-			}
-		case c == '`': // quoted identifier
-			start := i
+		}
+		kind := tokInt
+		if isFloat {
+			kind = tokFloat
+		}
+		tok = token{kind, sql[start:i], start}
+	case c == '\'':
+		text, end, err := scanString(sql, start)
+		if err != nil {
+			return token{}, err
+		}
+		i = end
+		tok = token{tokString, text, start}
+	case isIdentStart(c):
+		for i < n && isIdentPart(sql[i]) {
 			i++
-			j := strings.IndexByte(sql[i:], '`')
-			if j < 0 {
-				return nil, &lexError{start, "unterminated quoted identifier"}
+		}
+		word := sql[start:i]
+		if kw, ok := keywordOf(word); ok {
+			tok = token{tokKeyword, kw, start}
+		} else {
+			tok = token{tokIdent, word, start}
+		}
+	case c == '`': // quoted identifier
+		j := strings.IndexByte(sql[i+1:], '`')
+		if j < 0 {
+			return token{}, &lexError{start, "unterminated quoted identifier"}
+		}
+		tok = token{tokIdent, sql[i+1 : i+1+j], start}
+		i += j + 2
+	case c == '?':
+		tok = token{tokParam, "?", start}
+		i++
+	default:
+		if i+1 < n {
+			switch op := sql[i : i+2]; op {
+			case "<=", ">=", "<>", "!=":
+				sc.i = i + 2
+				return token{tokSymbol, op, start}, nil
 			}
-			toks = append(toks, token{tokIdent, sql[i : i+j], start})
-			i += j + 1
-		case c == '?':
-			toks = append(toks, token{tokParam, "?", i})
+		}
+		switch c {
+		case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';':
+			tok = token{tokSymbol, sql[i : i+1], start}
 			i++
 		default:
-			start := i
-			// Multi-byte operators first.
-			for _, op := range []string{"<=", ">=", "<>", "!="} {
-				if strings.HasPrefix(sql[i:], op) {
-					toks = append(toks, token{tokSymbol, op, start})
-					i += 2
-					goto next
-				}
-			}
-			switch c {
-			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';':
-				toks = append(toks, token{tokSymbol, string(c), start})
-				i++
-			default:
-				return nil, &lexError{start, fmt.Sprintf("unexpected character %q", c)}
-			}
-		next:
+			return token{}, &lexError{start, fmt.Sprintf("unexpected character %q", c)}
 		}
 	}
-	toks = append(toks, token{tokEOF, "", n})
-	return toks, nil
+	sc.i = i
+	return tok, nil
+}
+
+// scanString reads the string literal opening at sql[start] and returns its
+// value and the offset just past the closing quote. A literal without
+// escapes comes back as a substring of sql; only doubled-quote and backslash
+// escapes need a decoded copy.
+func scanString(sql string, start int) (string, int, error) {
+	n := len(sql)
+	i := start + 1
+	for i < n && sql[i] != '\'' && sql[i] != '\\' {
+		i++
+	}
+	if i < n && sql[i] == '\'' && (i+1 >= n || sql[i+1] != '\'') {
+		return sql[start+1 : i], i + 1, nil
+	}
+	var b strings.Builder
+	b.WriteString(sql[start+1 : i])
+	for i < n {
+		if sql[i] == '\'' {
+			if i+1 < n && sql[i+1] == '\'' { // escaped quote
+				b.WriteByte('\'')
+				i += 2
+				continue
+			}
+			return b.String(), i + 1, nil
+		}
+		if sql[i] == '\\' && i+1 < n { // backslash escapes
+			switch sql[i+1] {
+			case 'n':
+				b.WriteByte('\n')
+			case 't':
+				b.WriteByte('\t')
+			default:
+				b.WriteByte(sql[i+1])
+			}
+			i += 2
+			continue
+		}
+		b.WriteByte(sql[i])
+		i++
+	}
+	return "", n, &lexError{start, "unterminated string literal"}
+}
+
+// lex tokenizes a SQL string.
+func lex(sql string) ([]token, error) {
+	// Sized so typical statements tokenize in one allocation.
+	toks := make([]token, 0, len(sql)/5+4)
+	sc := scanner{sql: sql}
+	for {
+		t, err := sc.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

@@ -189,7 +189,9 @@ func (s *Session) finalizeStampsLocked() {
 			f(cv)
 		}
 		s.eng.commitV = cv
-		s.stamps = nil
+		// Keep the backing array for the session's next write.
+		clear(s.stamps)
+		s.stamps = s.stamps[:0]
 		s.eng.maybeGCLocked()
 	}
 	s.eng.provisional -= s.provisional

@@ -865,8 +865,7 @@ func (p *parser) primaryExpr() (Expr, error) {
 	case tokIdent:
 		// function call, qualified column, or bare column
 		if p.peek2().kind == tokSymbol && p.peek2().text == "(" {
-			name := strings.ToUpper(p.next().text)
-			return p.funcCall(name)
+			return p.funcCall(upperName(p.next().text))
 		}
 		p.next()
 		name := t.text
@@ -892,6 +891,17 @@ func (p *parser) primaryExpr() (Expr, error) {
 		}
 	}
 	return nil, &ParseError{t.pos, fmt.Sprintf("unexpected token %q in expression", t.text)}
+}
+
+// upperName upper-cases a function name. Rendered statements already carry
+// upper-case names, so the common case returns its input without allocating.
+func upperName(name string) string {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; 'a' <= c && c <= 'z' {
+			return strings.ToUpper(name)
+		}
+	}
+	return name
 }
 
 func (p *parser) funcCall(name string) (Expr, error) {

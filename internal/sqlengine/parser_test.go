@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -314,22 +315,23 @@ func genExpr(rng *rand.Rand, depth int) Expr {
 	}
 }
 
-// Property: Bind replaces every parameter and renders literal text with no
-// remaining '?' placeholders.
+// Property: rendering a statement with args (the binlog text of a write)
+// replaces every parameter, leaves no '?' placeholder, and re-parses to a
+// fixed point.
 func TestBindInterpolationProperty(t *testing.T) {
+	eng := NewEngine()
+	stmt, err := eng.Prepare("INSERT INTO t (x, y) VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(a int64, s string) bool {
 		if strings.ContainsAny(s, "'\\") || len(s) > 50 {
 			return true
 		}
-		stmt, err := Parse("INSERT INTO t (x, y) VALUES (?, ?)")
+		out, err := stmt.Render(NewInt(a), NewString(s))
 		if err != nil {
 			return false
 		}
-		bound, err := Bind(stmt, []Value{NewInt(a), NewString(s)})
-		if err != nil {
-			return false
-		}
-		out := bound.String()
 		if strings.Contains(out, "?") {
 			return false
 		}
@@ -344,15 +346,29 @@ func TestBindInterpolationProperty(t *testing.T) {
 	}
 }
 
+// Binding args — rendering them or executing with them — requires exactly
+// one argument per placeholder.
 func TestBindArityErrors(t *testing.T) {
-	stmt := mustParse(t, "SELECT * FROM t WHERE a = ? AND b = ?")
-	if _, err := Bind(stmt, []Value{NewInt(1)}); err == nil {
+	eng := NewEngine()
+	stmt, err := eng.Prepare("SELECT * FROM t WHERE a = ? AND b = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Render(NewInt(1)); err == nil {
 		t.Fatal("missing arg accepted")
 	}
-	if _, err := Bind(stmt, []Value{NewInt(1), NewInt(2), NewInt(3)}); err == nil {
+	if _, err := stmt.Render(NewInt(1), NewInt(2), NewInt(3)); err == nil {
 		t.Fatal("extra arg accepted")
 	}
-	if _, err := Bind(stmt, []Value{NewInt(1), NewInt(2)}); err != nil {
+	if _, err := stmt.Render(NewInt(1), NewInt(2)); err != nil {
 		t.Fatalf("exact args rejected: %v", err)
+	}
+	s := newTestDB(t)
+	for _, args := range [][]Value{{NewInt(1)}, {NewInt(1), NewString("x"), NewInt(3)}} {
+		_, err := s.Exec("UPDATE users SET name = ? WHERE id = ?", args...)
+		want := fmt.Sprintf("statement has 2 parameters but %d arguments given", len(args))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("write with %d args: err %v, want %q", len(args), err, want)
+		}
 	}
 }

@@ -102,12 +102,15 @@ func usableEqIndex(tbl *Table, col int) (name string, unique, ok bool) {
 	return "", false, false
 }
 
-// planBuilder carries state while constructing one plan.
+// planBuilder carries state while constructing one plan. args is set only
+// for write plans, which are built per execution: cached read plans must
+// not depend on one execution's arguments.
 type planBuilder struct {
 	e      *Engine
 	s      *Session
 	st     *SelectStmt
 	p      *Plan
+	args   []Value
 	nextID int
 }
 
@@ -167,12 +170,14 @@ func (e *Engine) buildPlanLocked(s *Session, st *SelectStmt, naive bool) (*Plan,
 // single-table access a SELECT over ref would get: the driving access plus
 // the WHERE as filters, chosen by cost or, under NaivePlan, by the naive
 // rule. A write plan has no tail and is built per execution, never cached —
-// bound write text carries literals, so caching would grow without bound.
-// It also never refreshes statistics: a re-ANALYZE advances the stats epoch,
-// and letting writes do that would re-plan cached reads at different moments.
-func (e *Engine) planWriteLocked(s *Session, ref TableRef, where Expr) (*Plan, error) {
+// a write plan may use the execution's args, so the estimate for `col > ?`
+// is the one the literal form `col > 5` gets, on the master and on a
+// replica replaying the lifted text alike. It also never refreshes
+// statistics: a re-ANALYZE advances the stats epoch, and letting writes do
+// that would re-plan cached reads at different moments.
+func (e *Engine) planWriteLocked(s *Session, ref TableRef, where Expr, args []Value) (*Plan, error) {
 	st := &SelectStmt{From: &ref, Where: where}
-	b := &planBuilder{e: e, s: s, st: st, p: &Plan{naive: e.NaivePlan, stmt: st, topN: -1}}
+	b := &planBuilder{e: e, s: s, st: st, p: &Plan{naive: e.NaivePlan, stmt: st, topN: -1}, args: args}
 	if err := b.resolveTables(); err != nil {
 		return nil, err
 	}
@@ -339,8 +344,8 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		case "!=", "<>":
 			return 1 - 1/float64(ts.ndvOf(col, len(t.rows)))
 		case "<", "<=", ">", ">=":
-			if lit, isLit := other.(*Literal); isLit && col < len(ts.cols) {
-				return ts.cols[col].rangeFraction(op, lit.V)
+			if v, isConst := b.constOf(other); isConst && col < len(ts.cols) {
+				return ts.cols[col].rangeFraction(op, v)
 			}
 			return defaultRangeSel
 		}
@@ -369,6 +374,20 @@ func (b *planBuilder) selOf(c Expr, slot int) float64 {
 		return defaultBetweenSel
 	}
 	return defaultSel
+}
+
+// constOf returns the value of a literal, or of a ? placeholder when the
+// plan is built for one execution's args (write plans).
+func (b *planBuilder) constOf(e Expr) (Value, bool) {
+	switch x := e.(type) {
+	case *Literal:
+		return x.V, true
+	case *Param:
+		if x.Index < len(b.args) {
+			return b.args[x.Index], true
+		}
+	}
+	return Null, false
 }
 
 // flipCmp mirrors a comparison operator for the swapped-operand orientation.
@@ -1132,11 +1151,10 @@ func orderDetail(st *SelectStmt) string {
 	return b.String()
 }
 
-// checkArgs validates the argument count against the plan's parameter count,
-// matching Bind's error text.
-func (p *Plan) checkArgs(args []Value) error {
-	if len(args) != p.nparams {
-		return fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", p.nparams, len(args))
+// checkArgCount is the one argument-count check of every execution path.
+func checkArgCount(nparams int, args []Value) error {
+	if len(args) != nparams {
+		return fmt.Errorf("sqlengine: statement has %d parameters but %d arguments given", nparams, len(args))
 	}
 	return nil
 }

@@ -12,11 +12,9 @@ import "fmt"
 // unused almost always indicates a lost result: cloudrepl-lint's closecheck
 // flags Prepare results that are never consumed.
 type Statement struct {
-	eng     *Engine
-	sql     string
-	norm    string
-	stmt    Stmt
-	nparams int
+	eng *Engine
+	sql string
+	parseEntry
 }
 
 // Prepare parses sql (through the parse cache) and returns a prepared
@@ -26,13 +24,7 @@ func (e *Engine) Prepare(sql string) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Statement{
-		eng:     e,
-		sql:     sql,
-		norm:    ent.norm,
-		stmt:    ent.stmt,
-		nparams: ent.nparams,
-	}, nil
+	return &Statement{eng: e, sql: sql, parseEntry: ent}, nil
 }
 
 // SQL returns the original statement text.
@@ -47,10 +39,20 @@ func (st *Statement) NumParams() int { return st.nparams }
 
 // Run executes the statement on a session with the given arguments. SELECTs
 // resolve their plan from the engine's plan cache (building it on first use
-// or after a statistics epoch change); writes bind args into the statement
-// text for the binlog, exactly as Session.Exec always has.
+// or after a statistics epoch change); writes plan per execution and render
+// their binlog text from the statement and args.
 func (st *Statement) Run(s *Session, args ...Value) (*Result, error) {
-	return s.ExecStmt(st.stmt, args...)
+	return s.exec(st.parseEntry, args, "")
+}
+
+// Render returns the statement text with args interpolated into its ?
+// placeholders: the text a statement-format binlog records when the
+// statement runs with args.
+func (st *Statement) Render(args ...Value) (string, error) {
+	if err := checkArgCount(st.nparams, args); err != nil {
+		return "", err
+	}
+	return renderSQL(st.stmt, args, renderedLen(st.norm, args)), nil
 }
 
 // Query is Run for statements expected to return rows.

@@ -145,13 +145,45 @@ func (v Value) String() string {
 // statement text, the way MySQL's statement-based log records fully-formed
 // statements.
 func (v Value) SQL() string {
+	if v.kind != KindString {
+		return v.String()
+	}
+	var b strings.Builder
+	b.Grow(len(v.s) + 2)
+	v.writeSQL(&b)
+	return b.String()
+}
+
+// writeSQL appends the SQL literal form of v (see SQL) to b without
+// intermediate strings: the master renders every write's binlog text
+// through it.
+func (v Value) writeSQL(b *strings.Builder) {
+	var num [32]byte
 	switch v.kind {
 	case KindString:
-		s := strings.ReplaceAll(v.s, `\`, `\\`)
-		s = strings.ReplaceAll(s, "'", "''")
-		return "'" + s + "'"
+		b.WriteByte('\'')
+		s := v.s
+		for {
+			i := strings.IndexAny(s, `'\`)
+			if i < 0 {
+				break
+			}
+			b.WriteString(s[:i])
+			if s[i] == '\\' {
+				b.WriteString(`\\`)
+			} else {
+				b.WriteString("''")
+			}
+			s = s[i+1:]
+		}
+		b.WriteString(s)
+		b.WriteByte('\'')
+	case KindInt, KindTime:
+		b.Write(strconv.AppendInt(num[:0], v.i, 10))
+	case KindFloat:
+		b.Write(strconv.AppendFloat(num[:0], v.f, 'g', -1, 64))
 	default:
-		return v.String()
+		b.WriteString(v.String())
 	}
 }
 
